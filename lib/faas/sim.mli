@@ -154,8 +154,9 @@ type config = {
           arming it never changes simulation results. *)
   overload : overload;  (** resilience policy ({!no_overload} = legacy) *)
   engine : Sfi_machine.Machine.engine_kind option;
-      (** execution engine for the machines (default: the machine's own
-          default, [Threaded]); [Reference] runs the differential oracle *)
+      (** execution engine for the machines (default: the
+          {!Sfi_runtime.Runtime.create_engine} default, [Adaptive]);
+          [Reference] runs the differential oracle *)
   chaos : chaos_event list;  (** perturbation schedule (applied in time order) *)
   on_perturbation : (chaos_report -> unit) option;
       (** called after each perturbation is applied — the chaos harness's

@@ -2,8 +2,10 @@
    TLB/MPK-checked memory access with the page/dcache fast paths, operand
    evaluation, flags, and the pure value helpers — plus [step], the
    AST-matching reference interpreter that defines observable behavior.
-   The threaded compiler ([Translate]) and the superblock tier ([Tier])
-   must reproduce everything here bit-identically. *)
+   The translated tiers ([Translate]'s shared op bodies, run per slot by
+   tier 1 and fused into superblocks by [Tier]) must reproduce everything
+   here bit-identically. [step] states every op's semantics and charges
+   on its own, so Lockstep compares two independent statements. *)
 
 open Sfi_x86.Ast
 open Mstate
@@ -404,8 +406,9 @@ let bitcnt_value k w v =
 let div_by_zero = Trap_exn Trap_integer_divide_by_zero
 let div_overflow = Trap_exn Trap_integer_overflow
 
-(* Division semantics without the cycle charge — the superblock tier batches
-   the charge at block entry and runs only this core. *)
+(* Division semantics without the cycle charge — the translated tiers
+   charge it as a fixed cost (per slot or batched) and run only this
+   core. *)
 let exec_div_core t w signed ~read =
   let divisor = read t in
   if signed then begin
@@ -459,14 +462,6 @@ let step t =
   t.counters.instructions <- t.counters.instructions + 1;
   charge_frontend t l.lengths.(t.pc);
   let cost = t.cost in
-  (* Direct-branch targets were resolved at load; -1 marks a label that did
-     not exist, which surfaces as the same [Not_found] the per-step Hashtbl
-     lookup used to raise. *)
-  let direct_target () =
-    let tgt = l.targets.(t.pc) in
-    if tgt < 0 then raise Not_found;
-    tgt
-  in
   let next_pc = ref (t.pc + 1) in
   (match instr with
   | Label _ -> t.counters.instructions <- t.counters.instructions - 1
@@ -553,12 +548,12 @@ let step t =
         write_reg_w t w dst (read_reg_w t w dst)
   | Jmp _ ->
       charge t (cost.Cost.branch_cycles + cost.Cost.taken_branch_cycles);
-      next_pc := direct_target ()
+      next_pc := l.targets.(t.pc)
   | Jcc (c, _) ->
       charge t cost.Cost.branch_cycles;
       if eval_cond t c then begin
         charge t cost.Cost.taken_branch_cycles;
-        next_pc := direct_target ()
+        next_pc := l.targets.(t.pc)
       end
   | Jmp_reg r ->
       charge t cost.Cost.indirect_branch_cycles;
@@ -567,7 +562,7 @@ let step t =
   | Call _ ->
       charge t cost.Cost.call_ret_cycles;
       push64 t (return_address t);
-      next_pc := direct_target ()
+      next_pc := l.targets.(t.pc)
   | Call_reg r ->
       charge t (cost.Cost.call_ret_cycles + cost.Cost.indirect_branch_cycles);
       push64 t (return_address t);

@@ -3,10 +3,12 @@
      {!Mstate}    — the [t] record, satellite types, state accessors
      {!Decode}    — operand/memory/flag primitives + the reference
                     interpreter ([step])
-     {!Translate} — load-time threaded-code compiler + basic-block
-                    discovery and classification
-     {!Tier}      — superblock promotion (batched counter charges with a
-                    rollback side table) and the tiered dispatch loop
+     {!Translate} — the per-op body compiler and fixed-cycle table
+                    shared by tiers 1 and 2, the tier-1 slot wrapper,
+                    basic-block discovery and classification
+     {!Tier}      — superblock promotion over the same bodies (batched
+                    counter charges with a rollback side table) and the
+                    one dispatch loop of [Threaded], [Tier2], [Adaptive]
 
    Only this module has a public interface; the pipeline stages are
    private to the library. Everything engine-selection-dependent
@@ -99,7 +101,10 @@ let load_program t program =
 
 let set_engine t k =
   t.engine <- k;
-  if k = Tier2 && t.loaded <> None then Tier.promote_all t;
+  (match k with
+  | Tier2 -> Tier.promote_all t
+  | Threaded | Reference -> Tier.demote t (fun _ -> true)
+  | Adaptive -> ());
   (* Adaptive promotion feeds on profiler samples; arm at the default
      cadence when the engine is selected. An explicit [disarm_profiler]
      afterwards sticks — sampling stops and the tier assignment freezes
@@ -117,7 +122,7 @@ let set_trace t sink =
   Tlb.set_trace t.tlb sink;
   (* Promoted trappable blocks batch the cycle charges the sink's
      timestamps derive from; fall back to tier 1 for them. *)
-  if Sfi_trace.Trace.enabled sink then Tier.demote_unsafe t
+  if Sfi_trace.Trace.enabled sink then Tier.demote t (fun b -> b.b_class <> Bpure)
 
 (* --- Execution --- *)
 
@@ -136,9 +141,8 @@ let run t ~fuel =
   let before = t.counters.instructions in
   let status =
     match t.engine with
-    | Threaded -> Translate.run_threaded t ~fuel
+    | Threaded | Tier2 -> Tier.run_tiered t ~fuel
     | Reference -> Decode.run_reference t ~fuel
-    | Tier2 -> Tier.run_tiered t ~fuel
     | Adaptive ->
         let rec go remaining =
           Tier.adaptive_scan t;

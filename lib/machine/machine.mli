@@ -57,9 +57,10 @@ val cost_model : t -> Cost.t
 
 val load_program : t -> Sfi_x86.Ast.program -> unit
 (** Replaces any previously loaded program. Raises [Invalid_argument] on
-    duplicate labels. Profiler samples collected against the replaced
-    program are dropped and accounted in {!profile_dropped} (the
-    histogram is resized for the new program). Under the [Tier2] engine,
+    duplicate labels and on a direct branch ([Jmp], [Jcc], [Call]) to a
+    label the program does not define. Profiler samples collected against
+    the replaced program are dropped and accounted in {!profile_dropped}
+    (the histogram is resized for the new program). Under the [Tier2] engine,
     every eligible block of the new program is promoted immediately. *)
 
 val label_address : t -> string -> int
@@ -92,7 +93,9 @@ val start : t -> entry:string -> unit
     return address. The caller must have set up RSP to a mapped stack. *)
 
 type engine_kind =
-  | Threaded  (** pre-translated closure-threaded code (default) *)
+  | Threaded
+      (** pre-translated closure-threaded code; the default of {!create}
+          (runtime engines default to [Adaptive]) *)
   | Reference  (** the original AST-matching interpreter *)
   | Tier2
       (** threaded code plus eager superblock promotion: every eligible
@@ -115,7 +118,8 @@ val set_engine : t -> engine_kind -> unit
     at block entry and roll back to the faulting instruction on a trap,
     so at every dispatch boundary (any [run ~fuel] slice edge) the
     {!snapshot} of a tiered machine is bit-identical to an untiered
-    one. *)
+    one. Selecting [Threaded] or [Reference] demotes every promoted
+    block. *)
 
 (** {1 Tier policy} *)
 

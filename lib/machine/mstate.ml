@@ -1,9 +1,10 @@
 (* Machine state: the [t] record, its satellite types, construction, and the
    small accessors that touch only state. The execution pipeline is layered
    on top — [Decode] (operand/memory primitives + the reference
-   interpreter), [Translate] (threaded-code compiler + basic-block
-   analysis), [Tier] (superblock promotion) — and re-exported through the
-   [Machine] facade, which is the only module with a public interface. *)
+   interpreter), [Translate] (the per-op body compiler shared by tiers 1
+   and 2 + basic-block analysis), [Tier] (superblock promotion and the
+   dispatch loop) — and re-exported through the [Machine] facade, which is
+   the only module with a public interface. *)
 
 open Sfi_x86.Ast
 module Space = Sfi_vmem.Space
@@ -49,8 +50,7 @@ type sanitizer_access = San_read | San_write | San_branch
    side-effect-free until retirement), [Bhazard] is everything with stores
    or indirect control flow (promotable, but needs the guarded superblock
    with trap rollback and pc attribution), and [Bbypass] serializes on the
-   tier-1 dispatcher forever (hostcalls, explicit traps, unresolved branch
-   targets). *)
+   tier-1 dispatcher forever (hostcalls, explicit traps). *)
 type block_class = Bpure | Bload | Bhazard | Bbypass
 
 type block = {
@@ -65,10 +65,11 @@ type loaded = {
   labels : (string, int) Hashtbl.t; (* label -> instruction index; cold lookups only *)
   code_len : int;
   lengths : int array; (* encoded length of each instruction *)
-  targets : int array; (* direct-branch target index, -1 = unresolved label *)
+  targets : int array; (* direct-branch target index, -1 = not a direct branch *)
   ret_addrs : int64 array; (* byte address of the following instruction *)
   index_of_off : int array; (* code byte offset -> instruction index, -1 = none *)
-  exec : (t -> unit) array; (* threaded code; exec.(n) is the off-end sentinel *)
+  bodies : (t -> unit) array; (* per-op semantics, shared by tiers 1 and 2 *)
+  exec : (t -> unit) array; (* tier-1 slots wrapping [bodies]; exec.(n) = off-end sentinel *)
   blocks : block array; (* partition of [0, n) into basic blocks *)
   block_of : int array; (* instruction index -> block index *)
   (* Tier-2 dispatch tables, indexed by instruction like [exec].

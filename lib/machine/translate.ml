@@ -1,10 +1,12 @@
-(* Tier-1 translation: [install] compiles each instruction once into an
-   [exec : t -> unit] closure with operands, widths, branch targets, encoded
-   lengths and return addresses pre-resolved, and partitions the program
-   into classified basic blocks for the superblock tier. The closures must
-   reproduce [Decode.step]'s observable behavior exactly — same counters,
-   same charge order, same traps — which {!Lockstep} checks instruction by
-   instruction. *)
+(* Translation for tiers 1 and 2. [compile_body] is the one per-op
+   compiler of both translated tiers, and [fixed_cycles] the one table of
+   their fixed charges. [install] compiles every instruction's body once,
+   wraps it into a tier-1 dispatch slot ([compile_instr]), and partitions
+   the program into classified basic blocks that [Tier] fuses from the
+   same bodies. Both tiers must reproduce [Decode.step]'s observable
+   behavior exactly — same counters, same charge order, same traps —
+   which {!Lockstep} checks; [step] keeps its own semantics so that the
+   check is not this table compared with itself. *)
 
 open Sfi_x86.Ast
 open Mstate
@@ -89,47 +91,64 @@ let compile_write w op =
       fun t v -> store_mem t w (ea t) v
   | Imm _ -> fun _ _ -> invalid_arg "Machine: immediate as destination"
 
-let compile_instr ~labels ~index_of_off ~code_base ~len ~next ~ret_addr (instr : instr) =
-  let target lbl = match Hashtbl.find_opt labels lbl with Some i -> i | None -> -1 in
-  let prologue t =
-    t.counters.instructions <- t.counters.instructions + 1;
-    charge_frontend t len
-  in
+(* The cycle charge an op issues unconditionally, before any trap point —
+   everything except dynamic charges (TLB walk, dcache miss, load/store
+   latency, the conditional taken-branch adder). Tier 1 charges it per
+   dispatch; tier 2 batches it at block entry. Depends only on [t.cost]
+   and [t.fsgsbase_available], both immutable, so it folds at install or
+   promotion time. *)
+let fixed_cycles t (i : instr) =
+  let c = t.cost in
+  match i with
+  | Label _ | Trap _ -> 0
+  | Nop | Mov _ | Movzx _ | Movsx _ | Alu _ | Shift _ | Bitcnt _ | Cqo _ | Neg _ | Not _ | Cmp _
+  | Test _ | Setcc _ | Cmovcc _ | Rdfsbase _ | Rdgsbase _ | Rdpkru ->
+      c.Cost.alu_cycles
+  | Lea _ -> c.Cost.lea_cycles
+  | Imul _ -> c.Cost.mul_cycles
+  | Div _ -> c.Cost.div_cycles
+  | Jmp _ -> c.Cost.branch_cycles + c.Cost.taken_branch_cycles
+  | Jcc _ -> c.Cost.branch_cycles
+  | Jmp_reg _ -> c.Cost.indirect_branch_cycles
+  | Call _ -> c.Cost.call_ret_cycles
+  | Call_reg _ -> c.Cost.call_ret_cycles + c.Cost.indirect_branch_cycles
+  | Ret -> c.Cost.call_ret_cycles
+  | Push _ -> c.Cost.store_cycles
+  | Pop _ -> c.Cost.load_cycles
+  | Wrfsbase _ | Wrgsbase _ ->
+      if t.fsgsbase_available then c.Cost.wrsegbase_cycles else c.Cost.wrsegbase_syscall_cycles
+  | Wrpkru -> c.Cost.wrpkru_cycles
+  | Vload _ | Vstore _ | Vzero _ | Vdup8 _ -> c.Cost.vector_cycles
+  | Hostcall _ -> c.Cost.hostcall_cycles
+
+(* Ops whose body establishes the successor pc itself. Every other body
+   falls through and leaves the pc write to its caller. *)
+let is_control = function
+  | Jmp _ | Jcc _ | Jmp_reg _ | Call _ | Call_reg _ | Ret -> true
+  | _ -> false
+
+(* The one per-op compiler of the translated tiers: semantics plus dynamic
+   charges, with operands, widths, branch targets and return addresses
+   pre-resolved. The prologue (retire, fetch) and the fixed charge are the
+   caller's. *)
+let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : instr) =
+  let next = idx + 1 in
+  let tgt = targets.(idx) in
+  let ret_addr = ret_addrs.(idx) in
   match instr with
-  | Label _ -> fun t -> t.pc <- next
-  | Nop ->
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        t.pc <- next
+  | Label _ | Nop -> fun _ -> ()
   | Mov (w, dst, src) ->
       let rd = compile_read w src and wr = compile_write w dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (rd t);
-        t.pc <- next
+      fun t -> wr t (rd t)
   | Movzx (dw, sw, dst, src) ->
       let rd = compile_read sw src and wr = compile_write_reg dw dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (rd t);
-        t.pc <- next
+      fun t -> wr t (rd t)
   | Movsx (dw, sw, dst, src) ->
       let rd = compile_read sw src and wr = compile_write_reg dw dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (sext sw (rd t));
-        t.pc <- next
+      fun t -> wr t (sext sw (rd t))
   | Lea (w, dst, m) ->
       let lv = compile_lea m and wr = compile_write_reg w dst in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.lea_cycles;
-        wr t (lv t);
-        t.pc <- next
+      fun t -> wr t (lv t)
   | Alu (op, w, dst, src) ->
       let rd = compile_read w dst and rs = compile_read w src and wr = compile_write w dst in
       let f =
@@ -141,16 +160,13 @@ let compile_instr ~labels ~index_of_off ~code_base ~len ~next ~ret_addr (instr :
         | Xor -> Int64.logxor
       in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let a = rd t and b = rs t in
         let r = f a b in
         (match op with
         | Add -> set_add_flags t w a b r
         | Sub -> set_sub_flags t w a b r
         | And | Or | Xor -> set_logic_flags t w r);
-        wr t r;
-        t.pc <- next
+        wr t r
   | Shift (op, w, dst, count) ->
       let rd = compile_read w dst and wr = compile_write w dst in
       let rcx = gpr_index RCX in
@@ -161,236 +177,150 @@ let compile_instr ~labels ~index_of_off ~code_base ~len ~next ~ret_addr (instr :
       in
       let nmask = width_bits w - 1 in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let n = get_n t land nmask in
         let a = rd t in
         let r = shift_value w op a n in
         set_logic_flags t w r;
-        wr t r;
-        t.pc <- next
+        wr t r
   | Imul (w, dst, src) ->
       let rdd = compile_read_reg w dst and rs = compile_read w src in
       let wr = compile_write_reg w dst in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.mul_cycles;
         let b = rs t in
-        wr t (Int64.mul (rdd t) b);
-        t.pc <- next
+        wr t (Int64.mul (rdd t) b)
   | Bitcnt (k, w, dst, src) ->
       let rs = compile_read w src and wr = compile_write_reg w dst in
       let m = mask_of_width w in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let v = Int64.logand (rs t) m in
-        wr t (Int64.of_int (bitcnt_value k w v));
-        t.pc <- next
+        wr t (Int64.of_int (bitcnt_value k w v))
   | Div (w, signed, src) ->
       let rs = compile_read w src in
-      fun t ->
-        prologue t;
-        exec_div t w signed ~read:rs;
-        t.pc <- next
+      fun t -> exec_div_core t w signed ~read:rs
   | Cqo w ->
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let a = sext w (read_reg_w t w RAX) in
-        write_reg_w t w RDX (if Int64.compare a 0L < 0 then -1L else 0L);
-        t.pc <- next
+        write_reg_w t w RDX (if Int64.compare a 0L < 0 then -1L else 0L)
   | Neg (w, op) ->
       let rd = compile_read w op and wr = compile_write w op in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let a = rd t in
         let r = Int64.neg a in
         set_sub_flags t w 0L a r;
-        wr t r;
-        t.pc <- next
+        wr t r
   | Not (w, op) ->
       let rd = compile_read w op and wr = compile_write w op in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        wr t (Int64.lognot (rd t));
-        t.pc <- next
+      fun t -> wr t (Int64.lognot (rd t))
   | Cmp (w, a, b) ->
       let ra = compile_read w a and rb = compile_read w b in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let va = ra t and vb = rb t in
-        set_sub_flags t w va vb (Int64.sub va vb);
-        t.pc <- next
+        set_sub_flags t w va vb (Int64.sub va vb)
   | Test (w, a, b) ->
       let ra = compile_read w a and rb = compile_read w b in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         let va = ra t and vb = rb t in
-        set_logic_flags t w (Int64.logand va vb);
-        t.pc <- next
+        set_logic_flags t w (Int64.logand va vb)
   | Setcc (c, r) ->
       let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t i (if eval_cond t c then 1L else 0L);
-        t.pc <- next
+      fun t -> reg_set t i (if eval_cond t c then 1L else 0L)
   | Cmovcc (c, w, dst, src) ->
       let rs = compile_read w src in
       let rdd = compile_read_reg w dst and wr = compile_write_reg w dst in
+      fun t -> if eval_cond t c then wr t (rs t) else if w = W32 then wr t (rdd t)
+  | Jmp _ ->
+      (* The taken-branch adder is unconditional here, so it lives in the
+         fixed charge. *)
+      fun t -> t.pc <- tgt
+  | Jcc (c, _) ->
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        (if eval_cond t c then wr t (rs t) else if w = W32 then wr t (rdd t));
-        t.pc <- next
-  | Jmp lbl ->
-      let tgt = target lbl in
-      fun t ->
-        prologue t;
-        charge t (t.cost.Cost.branch_cycles + t.cost.Cost.taken_branch_cycles);
-        if tgt < 0 then raise Not_found;
-        t.pc <- tgt
-  | Jcc (c, lbl) ->
-      let tgt = target lbl in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.branch_cycles;
         if eval_cond t c then begin
           charge t t.cost.Cost.taken_branch_cycles;
-          if tgt < 0 then raise Not_found;
           t.pc <- tgt
         end
         else t.pc <- next
   | Jmp_reg r ->
       let i = gpr_index r in
+      fun t -> jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
+  | Call _ ->
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.indirect_branch_cycles;
-        jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
-  | Call lbl ->
-      let tgt = target lbl in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.call_ret_cycles;
         push64 t ret_addr;
-        if tgt < 0 then raise Not_found;
         t.pc <- tgt
   | Call_reg r ->
       let i = gpr_index r in
       fun t ->
-        prologue t;
-        charge t (t.cost.Cost.call_ret_cycles + t.cost.Cost.indirect_branch_cycles);
         push64 t ret_addr;
         jump_via index_of_off code_base t (Int64.to_int (reg_get t i) land addr_mask_47)
   | Ret ->
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.call_ret_cycles;
         let addr = pop64 t in
         if addr = halt_sentinel then raise Halt_exn;
         jump_via index_of_off code_base t (Int64.to_int addr land addr_mask_47)
   | Push op ->
       let rd = compile_read W64 op in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.store_cycles;
-        push64 t (rd t);
-        t.pc <- next
+      fun t -> push64 t (rd t)
   | Pop r ->
       let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.load_cycles;
-        reg_set t i (pop64 t);
-        t.pc <- next
+      fun t -> reg_set t i (pop64 t)
   | Wrfsbase r | Wrgsbase r ->
       let i = gpr_index r in
       let is_fs = match instr with Wrfsbase _ -> true | _ -> false in
       fun t ->
-        prologue t;
-        charge t
-          (if t.fsgsbase_available then t.cost.Cost.wrsegbase_cycles
-           else t.cost.Cost.wrsegbase_syscall_cycles);
         t.counters.seg_base_writes <- t.counters.seg_base_writes + 1;
         let v = Int64.to_int (reg_get t i) land addr_mask_47 in
-        if is_fs then t.fs_base <- v else t.gs_base <- v;
-        t.pc <- next
+        if is_fs then t.fs_base <- v else t.gs_base <- v
   | Rdfsbase r ->
       let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t i (Int64.of_int t.fs_base);
-        t.pc <- next
+      fun t -> reg_set t i (Int64.of_int t.fs_base)
   | Rdgsbase r ->
       let i = gpr_index r in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
-        reg_set t i (Int64.of_int t.gs_base);
-        t.pc <- next
+      fun t -> reg_set t i (Int64.of_int t.gs_base)
   | Wrpkru ->
       let rax = gpr_index RAX in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.wrpkru_cycles;
         t.counters.pkru_writes <- t.counters.pkru_writes + 1;
         t.pkru <- Int64.to_int (Int64.logand (reg_get t rax) 0xFFFFFFFFL);
         invalidate_pcache t;
-        if Sfi_trace.Trace.enabled t.trace then
-          Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru;
-        t.pc <- next
+        if Sfi_trace.Trace.enabled t.trace then Sfi_trace.Trace.pkru_write t.trace ~value:t.pkru
   | Rdpkru ->
       let rax = gpr_index RAX and rdx = gpr_index RDX in
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.alu_cycles;
         reg_set t rax (Int64.of_int t.pkru);
-        reg_set t rdx 0L;
-        t.pc <- next
+        reg_set t rdx 0L
   | Vload (v, m) ->
       let ea = compile_ea m and vi = vreg_index v in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        vload_data t vi (ea t);
-        t.pc <- next
+      fun t -> vload_data t vi (ea t)
   | Vstore (m, v) ->
       let ea = compile_ea m and vi = vreg_index v in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        vstore_data t (ea t) vi;
-        t.pc <- next
+      fun t -> vstore_data t (ea t) vi
   | Vzero v ->
       let vi = vreg_index v in
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        Bytes.fill t.vregs.(vi) 0 16 '\000';
-        t.pc <- next
+      fun t -> Bytes.fill t.vregs.(vi) 0 16 '\000'
   | Vdup8 (v, b) ->
       let vi = vreg_index v and c = Char.chr (b land 0xFF) in
+      fun t -> Bytes.fill t.vregs.(vi) 0 16 c
+  | Hostcall n -> fun t -> t.hostcall t n
+  | Trap k -> fun _ -> raise (Trap_exn k)
+
+(* Tier 1: one dispatch slot per instruction, charged in [Decode.step]'s
+   order — retire, fetch, fixed cycles, then the body. Labels retire
+   nothing and only advance the pc. *)
+let compile_instr ~len ~fixed ~next instr body =
+  match instr with
+  | Label _ -> fun t -> t.pc <- next
+  | _ when is_control instr ->
       fun t ->
-        prologue t;
-        charge t t.cost.Cost.vector_cycles;
-        Bytes.fill t.vregs.(vi) 0 16 c;
+        t.counters.instructions <- t.counters.instructions + 1;
+        charge_frontend t len;
+        charge t fixed;
+        body t
+  | _ ->
+      fun t ->
+        t.counters.instructions <- t.counters.instructions + 1;
+        charge_frontend t len;
+        charge t fixed;
+        body t;
         t.pc <- next
-  | Hostcall n ->
-      fun t ->
-        prologue t;
-        charge t t.cost.Cost.hostcall_cycles;
-        t.hostcall t n;
-        t.pc <- next
-  | Trap k ->
-      fun t ->
-        prologue t;
-        raise (Trap_exn k)
 
 (* --- Basic-block discovery and classification --- *)
 
@@ -405,7 +335,7 @@ let is_terminator = function
 let class_rank = function Bpure -> 0 | Bload -> 1 | Bhazard -> 2 | Bbypass -> 3
 let class_max a b = if class_rank a >= class_rank b then a else b
 
-let instr_class ~targets idx (i : instr) =
+let instr_class (i : instr) =
   match i with
   | Label _ | Nop | Lea _ | Cqo _ | Setcc _ | Rdfsbase _ | Rdgsbase _ | Rdpkru | Wrfsbase _
   | Wrgsbase _ | Vzero _ | Vdup8 _ ->
@@ -424,14 +354,11 @@ let instr_class ~targets idx (i : instr) =
   (* Division can trap even register-to-register; the rollback side table
      handles it, so it rides in the no-store class. *)
   | Div _ | Pop _ | Ret | Vload _ -> Bload
-  | Push _ | Vstore _ | Call_reg _ | Jmp_reg _ | Wrpkru -> Bhazard
-  (* Direct branches with an unresolved label raise [Not_found] from the
-     middle of a block; keep those on the tier-1 dispatcher. *)
-  | Jmp _ | Jcc _ -> if targets.(idx) >= 0 then Bpure else Bbypass
-  | Call _ -> if targets.(idx) >= 0 then Bhazard else Bbypass
+  | Jmp _ | Jcc _ -> Bpure
+  | Push _ | Vstore _ | Call _ | Call_reg _ | Jmp_reg _ | Wrpkru -> Bhazard
   | Hostcall _ | Trap _ -> Bbypass
 
-let analyze_blocks program targets =
+let analyze_blocks program =
   let n = Array.length program in
   let leader = Array.make (n + 1) false in
   if n > 0 then leader.(0) <- true;
@@ -452,7 +379,7 @@ let analyze_blocks program targets =
     done;
     let cls = ref Bpure in
     for k = s to !j - 1 do
-      cls := class_max !cls (instr_class ~targets k program.(k));
+      cls := class_max !cls (instr_class program.(k));
       block_of.(k) <- !bi
     done;
     blocks := { b_start = s; b_len = !j - s; b_class = !cls } :: !blocks;
@@ -474,9 +401,11 @@ let install t program =
           Hashtbl.replace labels l idx
       | _ -> ())
     program;
-  let code_len = Encode.program_length program in
   let n = Array.length program in
-  let lengths = Encode.lengths program in
+  (* One length pass ([layout]); each length is the gap to the next offset. *)
+  let code_len = if n = 0 then 0 else offsets.(n - 1) + Encode.instr_length program.(n - 1) in
+  let next_off idx = if idx + 1 < n then offsets.(idx + 1) else code_len in
+  let lengths = Array.init n (fun idx -> next_off idx - offsets.(idx)) in
   (* First instruction at a given byte offset wins (labels share the offset
      of the instruction that follows them). *)
   let index_of_off = Array.make (code_len + 1) (-1) in
@@ -485,24 +414,27 @@ let install t program =
     Array.map
       (function
         | Jmp l | Jcc (_, l) | Call l -> (
-            match Hashtbl.find_opt labels l with Some i -> i | None -> -1)
+            match Hashtbl.find_opt labels l with
+            | Some i -> i
+            | None -> invalid_arg ("Machine.load_program: undefined label " ^ l))
         | _ -> -1)
       program
   in
-  let ret_addrs =
-    Array.init n (fun idx ->
-        let off = if idx + 1 < n then offsets.(idx + 1) else code_len in
-        Int64.of_int (t.code_base + off))
+  let ret_addrs = Array.init n (fun idx -> Int64.of_int (t.code_base + next_off idx)) in
+  let bodies =
+    Array.mapi
+      (fun idx i -> compile_body ~targets ~ret_addrs ~index_of_off ~code_base:t.code_base ~idx i)
+      program
   in
   (* exec.(n) is the off-end sentinel: running past the last instruction is
      an out-of-bounds fetch, exactly as [step] treats pc >= n. *)
   let exec = Array.make (n + 1) (fun _ -> raise (Trap_exn Trap_out_of_bounds)) in
   for idx = 0 to n - 1 do
+    let i = program.(idx) in
     exec.(idx) <-
-      compile_instr ~labels ~index_of_off ~code_base:t.code_base ~len:lengths.(idx)
-        ~next:(idx + 1) ~ret_addr:ret_addrs.(idx) program.(idx)
+      compile_instr ~len:lengths.(idx) ~fixed:(fixed_cycles t i) ~next:(idx + 1) i bodies.(idx)
   done;
-  let blocks, block_of = analyze_blocks program targets in
+  let blocks, block_of = analyze_blocks program in
   t.loaded <-
     Some
       {
@@ -514,6 +446,7 @@ let install t program =
         targets;
         ret_addrs;
         index_of_off;
+        bodies;
         exec;
         blocks;
         block_of;
@@ -534,36 +467,3 @@ let install t program =
   t.prof_total <- 0;
   t.prof_last_scan <- 0;
   t.pc <- 0
-
-let run_threaded t ~fuel =
-  let l = get_loaded t in
-  let code = l.exec in
-  if fuel <= 0 then Yielded
-  else if t.pc < 0 || t.pc > Array.length l.program then
-    (* [step] would trap here; once inside the loop the closures maintain
-       pc within [0, n] (index n being the off-end sentinel). *)
-    Trapped Trap_out_of_bounds
-  else begin
-    let budget = ref fuel in
-    try
-      if t.prof_interval > 0 then begin
-        (* Separate sampling loop so the default path below keeps its
-           tight two-load dispatch. *)
-        while !budget > 0 do
-          decr budget;
-          code.(t.pc) t;
-          prof_sample t
-        done;
-        Yielded
-      end
-      else begin
-        while !budget > 0 do
-          decr budget;
-          code.(t.pc) t
-        done;
-        Yielded
-      end
-    with
-    | Halt_exn | Hostcall_exit _ -> Halted
-    | Trap_exn k -> Trapped k
-  end

@@ -43,7 +43,7 @@ type measurement = {
   ns : float;
   tier : Sfi_machine.Machine.tier_stats;
       (** superblock occupancy of the run — all zeros under the
-          untiered engines *)
+          untiered engines ([Threaded], [Reference]) *)
 }
 
 val run :
@@ -57,7 +57,8 @@ val run :
 (** Compile under [strategy] (picking the native-layout module for the
     [Direct] strategy when one exists), instantiate, invoke, verify the
     checksum, and return the performance counters of the invocation.
-    [engine] selects the machine execution engine (default [Threaded]).
+    [engine] selects the machine execution engine (default: the
+    {!Sfi_runtime.Runtime.create_engine} default, [Adaptive]).
     [trace] installs a structured-event sink on the engine before the
     invocation (see {!Sfi_trace.Trace}); omitted, tracing stays the no-op
     [Trace.null]. Raises [Failure] on a trap or checksum mismatch. *)

@@ -18,11 +18,6 @@ val instr_length : Ast.instr -> int
 val program_length : Ast.program -> int
 (** Total code bytes of a program. *)
 
-val lengths : Ast.program -> int array
-(** Per-instruction encoded lengths (array index = instruction index), so
-    executors can charge frontend costs without re-deriving the encoding on
-    every step. *)
-
 val layout : Ast.program -> int array
 (** [layout p] gives the byte offset of each instruction (array index =
     instruction index). Labels share the offset of the following

@@ -1,10 +1,10 @@
-(* Differential validation of the threaded execution engine against the
-   reference step interpreter: lockstep snapshot comparison on handcrafted
-   programs covering every trap kind and control-flow shape, a randomized
-   qcheck property reusing the test_random_programs generator through the
-   full Wasm pipeline, and targeted tests for the page-access cache's
-   invalidation edges (mprotect, pkru writes, unmap/generation bumps,
-   madvise, host stores). *)
+(* Differential validation of the translated execution engines against
+   the reference step interpreter: lockstep snapshot comparison on
+   handcrafted programs covering every trap kind and control-flow shape, a
+   randomized qcheck property reusing the test_random_programs generator
+   through the full Wasm pipeline, and targeted tests for the page-access
+   cache's invalidation edges (mprotect, pkru writes, unmap/generation
+   bumps, madvise, host stores). *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -33,10 +33,29 @@ let make_machine ?(pkru = Mpk.allow_all) ?(setup = fun _ -> ()) instrs () =
   setup m;
   m
 
+(* Each handcrafted program runs under every translated engine against the
+   reference interpreter: one instruction per slice for tier 1, and slices
+   wide enough to enter the superblocks [Tier2] promotes at load. *)
+let engine_pairs =
+  [
+    ((Machine.Reference, Machine.Threaded), 1);
+    ((Machine.Reference, Machine.Tier2), 97);
+    ((Machine.Reference, Machine.Adaptive), 97);
+  ]
+
 let lockstep ?pkru ?setup instrs =
-  match Lockstep.run_pair ~make:(make_machine ?pkru ?setup instrs) ~entry:"entry" () with
-  | Ok status -> status
-  | Error d -> Alcotest.failf "engines diverged: %s" (Format.asprintf "%a" Lockstep.pp_divergence d)
+  let run (engines, stride) =
+    match
+      Lockstep.run_pair ~engines ~stride ~make:(make_machine ?pkru ?setup instrs) ~entry:"entry"
+        ()
+    with
+    | Ok status -> status
+    | Error d ->
+        Alcotest.failf "engines diverged (stride %d): %s" stride
+          (Format.asprintf "%a" Lockstep.pp_divergence d)
+  in
+  (* Every pair includes the reference, so all end in its status. *)
+  List.hd (List.map run engine_pairs)
 
 let check_lockstep_halted ?pkru ?setup instrs =
   match lockstep ?pkru ?setup instrs with
@@ -124,6 +143,12 @@ let test_lockstep_memory_and_segments () =
       X.Mov (X.W8, X.Reg X.RCX, X.Imm 3L);
       X.Shift (X.Shl, X.W32, X.Reg X.RAX, X.Count_cl);
       X.Bitcnt (X.Popcnt, X.W64, X.R9, X.Reg X.RAX);
+      (* ops codegen emits that no other handcrafted program runs *)
+      X.Rdfsbase X.R10;
+      X.Neg (X.W64, X.Reg X.RAX);
+      X.Neg (X.W32, X.Mem (X.mem ~base:X.RBX ~disp:8 ()));
+      X.Not (X.W64, X.Reg X.R9);
+      X.Not (X.W32, X.Mem (X.mem ~base:X.RBX ~disp:8 ()));
     ]
 
 let test_lockstep_traps () =

@@ -407,6 +407,14 @@ let test_fsgsbase_fallback_cost () =
   Alcotest.(check bool) "arch_prctl fallback is much slower (sec 4.1)" true
     (run_with false > (10 * run_with true))
 
+(* A direct branch to a label the program never defines is rejected when
+   the program is installed, not when (or if) the branch runs. *)
+let test_undefined_label_rejected () =
+  let m = Machine.create (Space.create ()) in
+  Alcotest.check_raises "undefined jump target"
+    (Invalid_argument "Machine.load_program: undefined label nowhere") (fun () ->
+      Machine.load_program m [| X.Label "entry"; X.Jmp "nowhere" |])
+
 let tests =
   [
     Harness.case "mov widths / zero extension" test_mov_zero_extension;
@@ -424,4 +432,5 @@ let tests =
     Harness.case "reset_counters clears TLB counters" test_reset_counters_resets_tlb;
     qcheck_counters_snapshot_immutable;
     Harness.case "fsgsbase fallback cost" test_fsgsbase_fallback_cost;
+    Harness.case "load_program rejects undefined labels" test_undefined_label_rejected;
   ]

@@ -191,6 +191,27 @@ let test_midrun_promotion_snapshot_identical () =
   Alcotest.(check bool) "promoted machine actually used superblocks" true
     (Machine.superblock_retired b > 0)
 
+(* Dropping back to [Threaded] demotes everything [Tier2] promoted: the
+   run retires no superblock instructions and ends bit-identical to a
+   machine that was [Threaded] from the start. *)
+let test_threaded_after_tier2_demotes () =
+  let fresh = make_machine (loop_program 300) () in
+  let m = make_machine (loop_program 300) () in
+  Machine.set_engine m Machine.Tier2;
+  Alcotest.(check bool) "tier2 promoted blocks" true
+    ((Machine.tier_stats m).Machine.blocks_promoted > 0);
+  Machine.set_engine m Machine.Threaded;
+  Alcotest.(check int) "threaded demoted every block" 0
+    (Machine.tier_stats m).Machine.blocks_promoted;
+  let run m =
+    match Machine.execute m ~entry:"entry" () with
+    | Machine.Halted -> Machine.snapshot m
+    | _ -> Alcotest.fail "loop should halt"
+  in
+  let snap = run m in
+  Alcotest.(check int) "no superblock instructions retired" 0 (Machine.superblock_retired m);
+  Alcotest.(check bool) "snapshot matches a fresh threaded machine" true (snap = run fresh)
+
 (* The same property via Lockstep: a stride wide enough to enter
    superblocks, reference vs the two tiered engines. *)
 let lockstep_tiered ?setup engines instrs =
@@ -333,6 +354,7 @@ let tests =
     case "tier config: knobs validated and round-trip" test_tier_config_validated;
     case "mid-run promotion: snapshots bit-identical" test_midrun_promotion_snapshot_identical;
     case "lockstep: tiered engine pairs" test_lockstep_tiered_engines;
+    case "threaded after tier2: demoted and identical" test_threaded_after_tier2_demotes;
     QCheck_alcotest.to_alcotest qcheck_adaptive;
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
