@@ -189,66 +189,30 @@ let run cfg =
       chaos;
     }
   in
-  (* A shard the hash left without tenants (possible when shards is close
-     to the tenant count) serves nothing: synthesize its empty result
-     rather than spinning up an engine over a zero-slot pool. *)
-  let empty_result =
-    {
-      Sim.completed = 0;
-      failed = 0;
-      watchdog_kills = 0;
-      collateral_aborts = 0;
-      recycles = 0;
-      pages_zeroed = 0;
-      admitted = 0;
-      shed_sojourn = 0;
-      shed_rate_limited = 0;
-      shed_queue_full = 0;
-      shed_priority = 0;
-      deadline_misses = 0;
-      breaker_opens = 0;
-      breaker_fast_fails = 0;
-      breakers_open_at_end = 0;
-      degrade_steps = 0;
-      max_degrade_level = 0;
-      chaos_applied = 0;
-      chaos_kills = 0;
-      slo_burn_starts = 0;
-      slo_burn_stops = 0;
-      slo_burning_at_end = 0;
-      throughput_rps = 0.0;
-      goodput_rps = 0.0;
-      availability = 1.0;
-      capacity_rps = 0.0;
-      context_switches = 0;
-      user_transitions = 0;
-      dtlb_misses = 0;
-      checksum = 0L;
-      simulated_ns = 0.0;
-      cpu_busy_ns = 0.0;
-      tenants = [||];
-    }
-  in
   (* One domain per shard. The DLS-backed [Runtime.domain_metrics]
      counters die with the worker domain, so each worker snapshots them
      *before* returning — reading them after [Domain.join] would observe
-     nothing (the per-domain-metrics-lifetime bug this layer exposed). *)
+     nothing (the per-domain-metrics-lifetime bug this layer exposed). A
+     shard the hash left without tenants (possible when shards is close to
+     the tenant count) serves nothing and returns [None]: the merge sums
+     only the shards that ran. *)
   let worker s () =
-    if Array.length locals.(s) = 0 then (empty_result, Runtime.zero_metrics)
+    if Array.length locals.(s) = 0 then None
     else
       let r = Sim.run (shard_cfg s) in
-      (r, Runtime.domain_metrics ())
+      Some (r, Runtime.domain_metrics ())
   in
   let handles = Array.init shards (fun s -> Domain.spawn (worker s)) in
   let joined = Array.map Domain.join handles in
-  let results = Array.map fst joined in
-  let metrics = Runtime.merged_metrics (Array.to_list (Array.map snd joined)) in
+  let ran = List.filter_map Fun.id (Array.to_list joined) in
+  let results = List.map fst ran in
+  let metrics = Runtime.merged_metrics (List.map snd ran) in
   let merged_trace =
     if tracing then Some (Trace.merge_shards (Array.to_list rings)) else None
   in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-  let sumf f = Array.fold_left (fun acc r -> acc +. f r) 0.0 results in
-  let maxi f = Array.fold_left (fun acc r -> max acc (f r)) 0 results in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 results in
+  let maxi f = List.fold_left (fun acc r -> max acc (f r)) 0 results in
   let completed = sum (fun r -> r.Sim.completed) in
   let failed = sum (fun r -> r.Sim.failed) in
   let collateral = sum (fun r -> r.Sim.collateral_aborts) in
@@ -256,13 +220,15 @@ let run cfg =
   (* Each shard serves on its own simulated core over the same simulated
      interval, so merged wall time is the max, busy time the sum. *)
   let simulated_ns =
-    Array.fold_left (fun acc r -> Float.max acc r.Sim.simulated_ns) 0.0 results
+    List.fold_left (fun acc r -> Float.max acc r.Sim.simulated_ns) 0.0 results
   in
   let cpu_busy_ns = sumf (fun r -> r.Sim.cpu_busy_ns) in
   let attempts = completed + failed + collateral in
   let tenants =
     Array.init n (fun g ->
-        let st = results.(assign.(g)).Sim.tenants.(local_of.(g)) in
+        (* Tenant [g] lives on shard [assign.(g)], so that shard ran. *)
+        let r, _ = Option.get joined.(assign.(g)) in
+        let st = r.Sim.tenants.(local_of.(g)) in
         { st with Sim.t_id = g })
   in
   let merged =
@@ -300,7 +266,7 @@ let run cfg =
       user_transitions = sum (fun r -> r.Sim.user_transitions);
       dtlb_misses = sum (fun r -> r.Sim.dtlb_misses);
       checksum =
-        Array.fold_left (fun acc r -> Int64.add acc r.Sim.checksum) 0L results;
+        List.fold_left (fun acc r -> Int64.add acc r.Sim.checksum) 0L results;
       simulated_ns;
       cpu_busy_ns;
       tenants;
@@ -313,21 +279,25 @@ let run cfg =
   done;
   let shard_stats =
     Array.init shards (fun s ->
-        let r = results.(s) in
+        let sh_completed, sh_shed, sh_busy_ns, sh_metrics =
+          match joined.(s) with
+          | None -> (0, 0, 0.0, Runtime.zero_metrics)
+          | Some (r, m) ->
+              ( r.Sim.completed,
+                r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
+                + r.Sim.shed_priority,
+                r.Sim.cpu_busy_ns,
+                m )
+        in
         {
           sh_id = s;
           sh_tenants = Array.length locals.(s);
           sh_stolen = stolen_into.(s);
-          sh_weight =
-            Array.fold_left
-              (fun acc g -> acc +. weights.(g))
-              0.0 locals.(s);
-          sh_completed = r.Sim.completed;
-          sh_shed =
-            r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
-            + r.Sim.shed_priority;
-          sh_busy_ns = r.Sim.cpu_busy_ns;
-          sh_metrics = (snd joined.(s));
+          sh_weight = Array.fold_left (fun acc g -> acc +. weights.(g)) 0.0 locals.(s);
+          sh_completed;
+          sh_shed;
+          sh_busy_ns;
+          sh_metrics;
         })
   in
   {

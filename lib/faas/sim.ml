@@ -237,7 +237,7 @@ let fresh_engines cfg m =
            striped layout is rejected (key budget, overflow). *)
         match Pool.compute_with_fallback params with
         | Ok (l, _status) -> l
-        | Error msg -> failwith ("Sim: pool layout: " ^ msg)
+        | Error msg -> invalid_arg ("Sim: pool layout: " ^ msg)
       in
       let compiled =
         Codegen.compile { (Codegen.default_config ()) with Codegen.colorguard = true } m
@@ -399,10 +399,13 @@ let run cfg =
       r.arrived_at <- q.(i)
     end
   in
-  let rearm r =
+  (* [delay] draws the closed-loop think time (default: the workload's IO
+     delay); it is only called in the closed loop, so an open-loop re-arm
+     draws from no PRNG stream. *)
+  let rearm ?(delay = io_delay) r =
     if open_loop then next_arrival r
     else begin
-      r.ready_at <- !clock +. io_delay ();
+      r.ready_at <- !clock +. delay ();
       r.arrived_at <- r.ready_at
     end
   in
@@ -681,8 +684,8 @@ let run cfg =
     r.bk_admitted <- false;
     rearm r
   in
-  (* Crash recovery / slot acquisition: get a slot through admission (the
-     CoDel path when armed, the bounded FIFO retry queue otherwise).
+  (* Crash recovery / slot acquisition: get a slot through the engine's
+     admission queue (plain FIFO, plus the CoDel controller when armed).
      Returns false while the request must wait or was shed. *)
   let ensure_instance r =
     match r.inst with
@@ -709,8 +712,8 @@ let run cfg =
               false
           | `Shed reason ->
               if ov.admission = None then begin
-                (* Legacy FIFO reject: keep the historical epoch retry (and
-                   its PRNG stream) byte-for-byte. *)
+                (* Full queue with no controller: keep the historical epoch
+                   retry (and its PRNG stream) byte-for-byte. *)
                 r.ready_at <- !clock +. cfg.epoch_ns;
                 false
               end
@@ -743,16 +746,21 @@ let run cfg =
     clock := !clock +. f.respawn_ns;
     busy := !busy +. f.respawn_ns
   in
-  let fail_request r ~is_crash =
+  (* The one bookkeeping path of a failed in-flight request (trap,
+     watchdog, dead instance, chaos kill): the caller re-arms it. *)
+  let fail r =
     incr failed;
     t_failed.(r.id) <- t_failed.(r.id) + 1;
     slo_record r.id ~good:false;
     Trace.request_end trace ~tenant:r.id ~ok:false;
     with_breaker r.id (Breaker.on_failure ~now:!clock);
-    freeze_flight "fault";
     r.act <- None;
     r.seq <- r.seq + 1;
-    r.bk_admitted <- false;
+    r.bk_admitted <- false
+  in
+  let fail_request r ~is_crash =
+    fail r;
+    freeze_flight "fault";
     (match cfg.mode with
     | Multiprocess _ when is_crash -> crash_process r.proc ~except:r.id
     | _ -> ());
@@ -760,11 +768,7 @@ let run cfg =
        failed request next epoch instead of after a full IO round-trip.
        Open loop: the failed request is dropped and the tenant moves on
        to its next scheduled arrival. *)
-    if open_loop then next_arrival r
-    else begin
-      r.ready_at <- (if !hedged then !clock +. cfg.epoch_ns else !clock +. io_delay ());
-      r.arrived_at <- r.ready_at
-    end
+    if !hedged then rearm ~delay:(fun () -> cfg.epoch_ns) r else rearm r
   in
   let run_request r =
     if
@@ -882,23 +886,11 @@ let run cfg =
             let r = List.nth l (Prng.int chaos_rng (List.length l)) in
             victim := r.id;
             incr chaos_kills;
-            incr failed;
-            t_failed.(r.id) <- t_failed.(r.id) + 1;
-            slo_record r.id ~good:false;
-            Trace.request_end trace ~tenant:r.id ~ok:false;
-            with_breaker r.id (Breaker.on_failure ~now:!clock);
+            fail r;
             (match r.inst with
             | Some i when Runtime.live i -> Runtime.kill i
             | _ -> ());
-            r.act <- None;
-            r.seq <- r.seq + 1;
-            r.parked <- false;
-            r.bk_admitted <- false;
-            if open_loop then next_arrival r
-            else begin
-              r.ready_at <- !clock +. Prng.exponential chaos_rng ~mean:cfg.io_mean_ns;
-              r.arrived_at <- r.ready_at
-            end)
+            rearm ~delay:(fun () -> Prng.exponential chaos_rng ~mean:cfg.io_mean_ns) r)
     | Chaos_latency { factor; window_ns } ->
         latency_factor := factor;
         latency_until := !clock +. window_ns
@@ -944,28 +936,24 @@ let run cfg =
      cursor (processor sharing): every ready request gets an epoch in
      turn, in-flight requests hold their slots across preemption, and
      excess demand queues at admission — the regime the overload stack is
-     built for. Off by default to keep earlier figures reproducible. *)
+     built for. Off by default to keep earlier figures reproducible. Both
+     are one scan: the legacy scheduler is a round robin whose cursor stays
+     at 0. Deleting it needs a benchmark change, since the serving
+     benchmark sets [fair_scheduling] explicitly. *)
   let rr_cursor = ref 0 in
   let n_requests = Array.length requests in
   let ready_in proc =
     let found = ref None in
-    if cfg.fair_scheduling then begin
-      let i = ref 0 in
-      while !found = None && !i < n_requests do
-        let r = requests.((!rr_cursor + !i) mod n_requests) in
-        if (proc < 0 || r.proc = proc) && r.ready_at <= !clock then begin
-          found := Some r;
-          rr_cursor := (!rr_cursor + !i + 1) mod n_requests
-        end;
-        incr i
-      done
-    end
-    else
-      Array.iter
-        (fun r ->
-          if !found = None && (proc < 0 || r.proc = proc) && r.ready_at <= !clock then
-            found := Some r)
-        requests;
+    let i = ref 0 in
+    while !found = None && !i < n_requests do
+      let k = (!rr_cursor + !i) mod n_requests in
+      let r = requests.(k) in
+      if (proc < 0 || r.proc = proc) && r.ready_at <= !clock then begin
+        found := Some r;
+        if cfg.fair_scheduling then rr_cursor := (k + 1) mod n_requests
+      end;
+      incr i
+    done;
     !found
   in
   let next_ready_time () =

@@ -52,8 +52,8 @@ type overload = {
           admission — the overload regime. *)
   admission : Sfi_runtime.Runtime.admission_config option;
       (** arm {!Sfi_runtime.Runtime.set_admission} on every engine: CoDel
-          sojourn control + per-tenant token buckets instead of the blind
-          FIFO reject *)
+          sojourn control + per-tenant token buckets on top of the engine's
+          FIFO admission queue *)
   breaker : Breaker.config option;
       (** per-tenant circuit breakers: trap/watchdog/latency failures trip
           them, open breakers fast-fail requests without touching the
@@ -294,7 +294,11 @@ type result = {
 val run : config -> result
 (** Always runs to completion: sandbox misbehavior (traps, runaway loops,
     crashed processes) is contained and reported in the counters, never
-    re-raised to the caller. *)
+    re-raised to the caller. An invalid config raises [Invalid_argument]
+    before the run starts: a [Multiprocess] count below 1, [pool_slots]
+    below 1, a [pool_slots] whose pool layout cannot be built (e.g. a
+    slab larger than the user address space), or an arrival for a tenant
+    outside [0, concurrency). *)
 
 val throughput_gain : workload:Workloads.t -> processes:int -> config -> float
 (** Percent throughput advantage of ColorGuard over [processes]-process

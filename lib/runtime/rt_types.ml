@@ -69,7 +69,7 @@ type counters = {
   mutable instantiations_cold : int; (* first use of a slot *)
   mutable instantiations_warm : int; (* recycled slot reuse *)
   mutable admitted : int; (* slot grants through the admission path *)
-  mutable adm_queued : int; (* tickets parked by the admission controller *)
+  mutable adm_queued : int; (* tickets parked in the admission queue *)
   mutable adm_shed_sojourn : int; (* CoDel / ticket-deadline sheds *)
   mutable adm_shed_rate : int; (* per-tenant token-bucket sheds *)
   mutable adm_shed_capacity : int; (* queue-at-capacity sheds *)
@@ -116,13 +116,13 @@ let reset_counters c =
 let domain_counters_key = Domain.DLS.new_key fresh_counters
 let domain_counters () = Domain.DLS.get domain_counters_key
 
-(* CoDel-style adaptive admission over the slot pool: a per-ticket sojourn
-   deadline, a target-delay controller applied at dequeue (so the load shed
-   is the load that waited longest, never random arrivals), and a
-   token-bucket rate limiter per tenant. Armed via {!Runtime.set_admission};
-   when absent, {!Runtime.admit} falls back to the blind bounded-FIFO retry
-   queue of {!Runtime.instantiate_queued}. Time is the caller's simulated
-   clock, passed on every call. *)
+(* The engine's one admission queue over the slot pool: tickets park in
+   FIFO order and the head claims the next free slot. Arming a controller
+   via {!Runtime.set_admission} adds CoDel-style adaptive admission on top:
+   a per-ticket sojourn deadline, a target-delay controller applied at
+   dequeue (so the load shed is the load that waited longest, never random
+   arrivals), and a token-bucket rate limiter per tenant. Time is the
+   caller's simulated clock, passed on every call. *)
 type admission_config = {
   target_delay_ns : float; (* CoDel target sojourn *)
   interval_ns : float; (* how long sojourn must exceed target before shedding *)
@@ -135,8 +135,6 @@ type token_bucket = { mutable tokens : float; mutable refilled_at : float }
 
 type admission_state = {
   acfg : admission_config;
-  aqueue : (int * float) Queue.t; (* (ticket, enqueued-at); stale heads skipped lazily *)
-  amember : (int, float) Hashtbl.t; (* parked tickets -> enqueue time *)
   buckets : (int, token_bucket) Hashtbl.t; (* tenant -> rate-limit state *)
   mutable first_above : float; (* CoDel: when shedding may start; < 0 = below target *)
   mutable shed_run : int; (* consecutive CoDel sheds (control-law count) *)
@@ -154,14 +152,11 @@ type engine = {
   slot_mapped_pages : (int, int) Hashtbl.t; (* slot -> pages ever mapped *)
   imports : (string, import) Hashtbl.t;
   mutable current : instance option;
-  transition_overhead_cycles : int;
-  pure_springboard_cycles : int;
-  readonly_springboard_cycles : int;
   counters : counters;
-  retry_capacity : int;
-  waiters : int Queue.t; (* tickets waiting for a slot, FIFO *)
-  waiter_set : (int, unit) Hashtbl.t; (* same tickets, O(1) membership *)
-  mutable admission : admission_state option; (* None = blind FIFO retry queue *)
+  retry_capacity : int; (* most tickets [aqueue] may park *)
+  aqueue : (int * float) Queue.t; (* (ticket, enqueued-at); stale heads skipped lazily *)
+  amember : (int, float) Hashtbl.t; (* parked tickets -> enqueue time *)
+  mutable admission : admission_state option; (* None = plain FIFO, no controller *)
   mutable slot_reserve : int; (* slots withheld from allocation (ladder) *)
   (* Pre-initialized module image, baked once at engine creation: data
      segments for the heap, the per-module vmctx template (memory bound,

@@ -1,7 +1,7 @@
 (* The engine façade. The lifecycle layers live in {!Rt_types} (shared
    records), {!Instance} (slot claim / CoW instantiate / recycle / kill)
    and {!Transition} (boundary cost model); this module owns engine
-   creation, hostcall dispatch, the retry queue, the invoke/activation
+   creation, hostcall dispatch, the admission queue, the invoke/activation
    machinery and the SFI sanitizer, and re-exports the lifecycle
    operations behind the historical [Runtime] interface. *)
 
@@ -54,12 +54,10 @@ let hostcall_handler e m id =
 
 (* --- engine creation --- *)
 
-let create_engine ?cost ?tlb ?(fsgsbase_available = true) ?max_map_count
+let create_engine ?cost ?tlb ?(fsgsbase_available = true)
     ?(allocator = Simple { reservation = 4 * Sfi_util.Units.gib })
-    ?(transition_overhead_cycles = 55) ?(pure_springboard_cycles = 10)
-    ?(readonly_springboard_cycles = 24) ?(retry_queue_capacity = 64) ?code_base ?engine
-    (compiled : Codegen.compiled) =
-  let space = Space.create ?max_map_count () in
+    ?(retry_queue_capacity = 64) ?code_base ?engine (compiled : Codegen.compiled) =
+  let space = Space.create () in
   let machine = Machine.create ?cost ?tlb ~fsgsbase_available ?code_base space in
   (* Default to the adaptive tier: threaded dispatch with profiler-driven
      superblock promotion of hot blocks — observationally identical to
@@ -108,13 +106,10 @@ let create_engine ?cost ?tlb ?(fsgsbase_available = true) ?max_map_count
       slot_mapped_pages = Hashtbl.create 64;
       imports = Hashtbl.create 8;
       current = None;
-      transition_overhead_cycles;
-      pure_springboard_cycles;
-      readonly_springboard_cycles;
       counters = fresh_counters ();
       retry_capacity = retry_queue_capacity;
-      waiters = Queue.create ();
-      waiter_set = Hashtbl.create 64;
+      aqueue = Queue.create ();
+      amember = Hashtbl.create 64;
       admission = None;
       slot_reserve = 0;
       heap_image = Instance.bake_heap_image src;
@@ -151,41 +146,12 @@ let try_instantiate e =
 let instantiate e =
   match try_instantiate e with Ok inst -> inst | Error f -> raise (Fault f)
 
-let instantiate_queued e ~ticket =
-  (* Only the queue head (or a newcomer arriving at an empty queue) may
-     claim a slot; everyone else keeps their FIFO position. Membership is
-     O(1) via [waiter_set]; the queue itself stays the FIFO order. *)
-  let queued = Hashtbl.mem e.waiter_set ticket in
-  let is_head = Queue.peek_opt e.waiters = Some ticket in
-  let enqueue () =
-    if Queue.length e.waiters >= e.retry_capacity then `Rejected
-    else begin
-      Queue.push ticket e.waiters;
-      Hashtbl.replace e.waiter_set ticket ();
-      `Wait
-    end
-  in
-  if is_head || ((not queued) && Queue.is_empty e.waiters) then
-    match try_instantiate e with
-    | Ok inst ->
-        if is_head then begin
-          ignore (Queue.pop e.waiters);
-          Hashtbl.remove e.waiter_set ticket
-        end;
-        `Ready inst
-    | Error Pool_exhausted -> if queued then `Wait else enqueue ()
-    | Error f -> raise (Fault f)
-  else if queued then `Wait
-  else enqueue ()
-
 let num_slots e = e.max_slots
 
-let waiting e =
-  match e.admission with
-  | None -> Queue.length e.waiters
-  | Some a -> Hashtbl.length a.amember
+let waiting e = Hashtbl.length e.amember
 
-(* --- adaptive admission: CoDel queue + per-tenant token buckets --- *)
+(* --- admission: one FIFO ticket queue; an armed controller adds the
+   CoDel sojourn law, the ticket deadline and per-tenant token buckets --- *)
 
 type shed_reason = Shed_sojourn | Shed_rate_limited | Shed_queue_full
 
@@ -220,8 +186,6 @@ let set_admission e = function
         Some
           {
             acfg;
-            aqueue = Queue.create ();
-            amember = Hashtbl.create 64;
             buckets = Hashtbl.create 64;
             first_above = -1.0;
             shed_run = 0;
@@ -240,146 +204,132 @@ let set_slot_reserve e n =
 
 let admit e ~ticket ~tenant ~now =
   let c = e.counters and dc = domain_counters () in
-  let count_admit () =
-    c.admitted <- c.admitted + 1;
-    dc.admitted <- dc.admitted + 1
+  (* Tickets shed while parked leave a stale queue entry behind; skip them
+     lazily so the live head is always a member. *)
+  let rec head () =
+    match Queue.peek_opt e.aqueue with
+    | Some (t, _) when not (Hashtbl.mem e.amember t) ->
+        ignore (Queue.pop e.aqueue);
+        head ()
+    | h -> h
   in
-  match e.admission with
-  | None -> (
-      (* Legacy path: the blind bounded-FIFO retry queue, with rejections
-         mapped onto the capacity-shed reason so callers see one shape. *)
-      match instantiate_queued e ~ticket with
-      | `Ready _ as r ->
-          count_admit ();
-          r
-      | `Wait -> `Wait
-      | `Rejected ->
-          c.adm_shed_capacity <- c.adm_shed_capacity + 1;
-          dc.adm_shed_capacity <- dc.adm_shed_capacity + 1;
-          `Shed Shed_queue_full)
-  | Some a -> (
-      let acfg = a.acfg in
-      let target = acfg.target_delay_ns *. a.pressure in
-      let deadline = acfg.ticket_deadline_ns *. a.pressure in
-      (* Tickets shed while parked leave a stale queue entry behind; skip
-         them lazily so the live head is always a member. *)
-      let rec head () =
-        match Queue.peek_opt a.aqueue with
-        | Some (t, _) when not (Hashtbl.mem a.amember t) ->
-            ignore (Queue.pop a.aqueue);
-            head ()
-        | h -> h
-      in
-      let grant ~sojourn inst =
-        count_admit ();
-        Sfi_trace.Trace.admission_admit e.trace ~tenant ~sojourn:(int_of_float sojourn);
-        `Ready inst
-      in
-      let shed reason ~sojourn =
-        (match reason with
-        | Shed_sojourn ->
-            c.adm_shed_sojourn <- c.adm_shed_sojourn + 1;
-            dc.adm_shed_sojourn <- dc.adm_shed_sojourn + 1
-        | Shed_rate_limited ->
-            c.adm_shed_rate <- c.adm_shed_rate + 1;
-            dc.adm_shed_rate <- dc.adm_shed_rate + 1
-        | Shed_queue_full ->
-            c.adm_shed_capacity <- c.adm_shed_capacity + 1;
-            dc.adm_shed_capacity <- dc.adm_shed_capacity + 1);
-        Sfi_trace.Trace.admission_shed e.trace ~tenant ~sojourn:(int_of_float sojourn)
-          ~reason:(shed_reason_code reason);
-        `Shed reason
-      in
-      match Hashtbl.find_opt a.amember ticket with
-      | Some enq ->
-          let sojourn = now -. enq in
-          if sojourn > deadline then begin
-            (* Hard per-ticket bound: a ticket that waited this long has
-               lost its client; serving it would be wasted work. *)
-            Hashtbl.remove a.amember ticket;
-            shed Shed_sojourn ~sojourn
-          end
-          else begin
-            match head () with
-            | Some (t, _) when t = ticket ->
-                (* Head re-presentation. The CoDel control law runs at
-                   dequeue, so what gets shed is the slowest load — the
-                   requests that waited longest — never random arrivals. *)
-                let codel_shed =
-                  if sojourn < target then begin
-                    a.first_above <- -1.0;
-                    a.shed_run <- 0;
-                    false
-                  end
-                  else if a.first_above < 0.0 then begin
-                    a.first_above <- now +. acfg.interval_ns;
-                    false
-                  end
-                  else if now >= a.first_above then begin
-                    a.shed_run <- a.shed_run + 1;
-                    a.first_above <-
-                      now +. (acfg.interval_ns /. sqrt (float_of_int (a.shed_run + 1)));
-                    true
-                  end
-                  else false
-                in
-                if codel_shed then begin
-                  ignore (Queue.pop a.aqueue);
-                  Hashtbl.remove a.amember ticket;
-                  shed Shed_sojourn ~sojourn
-                end
-                else begin
-                  match try_instantiate e with
-                  | Ok inst ->
-                      ignore (Queue.pop a.aqueue);
-                      Hashtbl.remove a.amember ticket;
-                      grant ~sojourn inst
-                  | Error Pool_exhausted -> `Wait
-                  | Error f -> raise (Fault f)
-                end
-            | _ -> `Wait
-          end
-      | None -> (
-          (* New arrival: charge the tenant's token bucket first. *)
-          let bucket =
-            match Hashtbl.find_opt a.buckets tenant with
-            | Some b -> b
-            | None ->
-                let b = { tokens = acfg.tenant_burst; refilled_at = now } in
-                Hashtbl.add a.buckets tenant b;
-                b
-          in
-          let dt = now -. bucket.refilled_at in
-          if dt > 0.0 then begin
-            bucket.tokens <-
-              Float.min acfg.tenant_burst
-                (bucket.tokens +. (dt /. 1e9 *. acfg.tenant_rate));
-            bucket.refilled_at <- now
-          end;
-          if bucket.tokens < 1.0 then shed Shed_rate_limited ~sojourn:0.0
-          else begin
-            bucket.tokens <- bucket.tokens -. 1.0;
-            let enqueue () =
-              if Hashtbl.length a.amember >= e.retry_capacity then
-                shed Shed_queue_full ~sojourn:0.0
-              else begin
-                Queue.push (ticket, now) a.aqueue;
-                Hashtbl.replace a.amember ticket now;
-                c.adm_queued <- c.adm_queued + 1;
-                dc.adm_queued <- dc.adm_queued + 1;
-                Sfi_trace.Trace.admission_queue e.trace ~tenant
-                  ~depth:(Hashtbl.length a.amember);
-                `Wait
+  let grant ~sojourn inst =
+    c.admitted <- c.admitted + 1;
+    dc.admitted <- dc.admitted + 1;
+    Sfi_trace.Trace.admission_admit e.trace ~tenant ~sojourn:(int_of_float sojourn);
+    `Ready inst
+  in
+  let shed reason ~sojourn =
+    (match reason with
+    | Shed_sojourn ->
+        c.adm_shed_sojourn <- c.adm_shed_sojourn + 1;
+        dc.adm_shed_sojourn <- dc.adm_shed_sojourn + 1
+    | Shed_rate_limited ->
+        c.adm_shed_rate <- c.adm_shed_rate + 1;
+        dc.adm_shed_rate <- dc.adm_shed_rate + 1
+    | Shed_queue_full ->
+        c.adm_shed_capacity <- c.adm_shed_capacity + 1;
+        dc.adm_shed_capacity <- dc.adm_shed_capacity + 1);
+    Sfi_trace.Trace.admission_shed e.trace ~tenant ~sojourn:(int_of_float sojourn)
+      ~reason:(shed_reason_code reason);
+    `Shed reason
+  in
+  (* The CoDel control law, run at head re-presentation: it sheds the
+     slowest load — the requests that waited longest — never random
+     arrivals. *)
+  let codel_shed a ~sojourn =
+    let acfg = a.acfg in
+    if sojourn < acfg.target_delay_ns *. a.pressure then begin
+      a.first_above <- -1.0;
+      a.shed_run <- 0;
+      false
+    end
+    else if a.first_above < 0.0 then begin
+      a.first_above <- now +. acfg.interval_ns;
+      false
+    end
+    else if now >= a.first_above then begin
+      a.shed_run <- a.shed_run + 1;
+      a.first_above <- now +. (acfg.interval_ns /. sqrt (float_of_int (a.shed_run + 1)));
+      true
+    end
+    else false
+  in
+  (* A new arrival takes one token from its tenant's bucket. *)
+  let take_token a =
+    let acfg = a.acfg in
+    let bucket =
+      match Hashtbl.find_opt a.buckets tenant with
+      | Some b -> b
+      | None ->
+          let b = { tokens = acfg.tenant_burst; refilled_at = now } in
+          Hashtbl.add a.buckets tenant b;
+          b
+    in
+    let dt = now -. bucket.refilled_at in
+    if dt > 0.0 then begin
+      bucket.tokens <-
+        Float.min acfg.tenant_burst (bucket.tokens +. (dt /. 1e9 *. acfg.tenant_rate));
+      bucket.refilled_at <- now
+    end;
+    if bucket.tokens < 1.0 then false
+    else begin
+      bucket.tokens <- bucket.tokens -. 1.0;
+      true
+    end
+  in
+  match Hashtbl.find_opt e.amember ticket with
+  | Some enq -> (
+      let sojourn = now -. enq in
+      match e.admission with
+      | Some a when sojourn > a.acfg.ticket_deadline_ns *. a.pressure ->
+          (* Hard per-ticket bound: a ticket that waited this long has
+             lost its client; serving it would be wasted work. *)
+          Hashtbl.remove e.amember ticket;
+          shed Shed_sojourn ~sojourn
+      | adm -> (
+          match head () with
+          | Some (t, _) when t = ticket ->
+              let dequeue () =
+                ignore (Queue.pop e.aqueue);
+                Hashtbl.remove e.amember ticket
+              in
+              let codel = match adm with Some a -> codel_shed a ~sojourn | None -> false in
+              if codel then begin
+                dequeue ();
+                shed Shed_sojourn ~sojourn
               end
-            in
-            match head () with
-            | None -> (
+              else begin
                 match try_instantiate e with
-                | Ok inst -> grant ~sojourn:0.0 inst
-                | Error Pool_exhausted -> enqueue ()
-                | Error f -> raise (Fault f))
-            | Some _ -> enqueue ()
-          end))
+                | Ok inst ->
+                    dequeue ();
+                    grant ~sojourn inst
+                | Error _ -> `Wait
+              end
+          | _ -> `Wait))
+  | None -> (
+      match e.admission with
+      | Some a when not (take_token a) -> shed Shed_rate_limited ~sojourn:0.0
+      | _ -> (
+          let enqueue () =
+            if Hashtbl.length e.amember >= e.retry_capacity then
+              shed Shed_queue_full ~sojourn:0.0
+            else begin
+              Queue.push (ticket, now) e.aqueue;
+              Hashtbl.replace e.amember ticket now;
+              c.adm_queued <- c.adm_queued + 1;
+              dc.adm_queued <- dc.adm_queued + 1;
+              Sfi_trace.Trace.admission_queue e.trace ~tenant
+                ~depth:(Hashtbl.length e.amember);
+              `Wait
+            end
+          in
+          match head () with
+          | None -> (
+              match try_instantiate e with
+              | Ok inst -> grant ~sojourn:0.0 inst
+              | Error _ -> enqueue ())
+          | Some _ -> enqueue ()))
 
 let release = Instance.release
 let kill = Instance.kill

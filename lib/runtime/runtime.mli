@@ -27,7 +27,7 @@ type trap = Sfi_x86.Ast.trap_kind
 type fault =
   | Trap of trap  (** the sandbox executed a trapping instruction *)
   | Fuel_exhausted  (** watchdog: the call overran its fuel deadline *)
-  | Pool_exhausted  (** no free slot and the retry queue is full *)
+  | Pool_exhausted  (** no free slot in the pool *)
   | Instance_dead  (** the instance was killed by an earlier fault *)
 
 exception Fault of fault
@@ -57,11 +57,7 @@ val create_engine :
   ?cost:Sfi_machine.Cost.t ->
   ?tlb:Sfi_vmem.Tlb.config ->
   ?fsgsbase_available:bool ->
-  ?max_map_count:int ->
   ?allocator:allocator ->
-  ?transition_overhead_cycles:int ->
-  ?pure_springboard_cycles:int ->
-  ?readonly_springboard_cycles:int ->
   ?retry_queue_capacity:int ->
   ?code_base:int ->
   ?engine:Sfi_machine.Machine.engine_kind ->
@@ -71,14 +67,11 @@ val create_engine :
     allocator, and bakes the module's pre-initialized image (data segments
     + vmctx template) that every instantiation maps copy-on-write.
     [allocator] defaults to [Simple] with a 4 GiB reservation;
-    [transition_overhead_cycles] (default 55 per direction, calibrated to
-    the paper's 30.34 ns baseline at 2.2 GHz) models the stack-switch,
-    exception-handler and ABI work of a transition besides the instructions
-    the entry sequence itself executes (sec 6.4.1).
-    [pure_springboard_cycles] (default 10) and
-    [readonly_springboard_cycles] (default 24) price the thin hostcall
-    springboards of the corresponding {!hostcall_class}es, per Kolosick et
-    al.'s zero-cost transitions. [engine] selects the machine's execution
+    [retry_queue_capacity] (default 64) bounds the tickets {!admit} may
+    park. A transition direction costs a fixed 55 cycles of stack-switch,
+    exception-handler and ABI work (sec 6.4.1) besides the entry sequence's
+    own instructions; the [Pure] and [Readonly] hostcall springboards cost
+    10 and 24 cycles. [engine] selects the machine's execution
     engine (default {!Sfi_machine.Machine.Adaptive}: threaded dispatch
     plus profiler-driven superblock promotion — observationally identical
     to [Threaded] but faster on host time once hot blocks tier up). *)
@@ -134,39 +127,24 @@ val try_instantiate : engine -> (instance, fault) result
 (** Like {!instantiate} but returns [Error Pool_exhausted] instead of
     raising. *)
 
-val instantiate_queued :
-  engine -> ticket:int -> [ `Ready of instance | `Wait | `Rejected ]
-(** Admission with a bounded FIFO retry queue instead of failing: when no
-    slot is free the caller's [ticket] is queued ([`Wait]) up to the
-    engine's [retry_queue_capacity], beyond which new tickets are
-    [`Rejected] (load shedding). Re-present the same ticket after slots are
-    recycled; the queue head claims the next free slot.
-
-    Off-by-one semantics of the capacity bound: [retry_queue_capacity]
-    counts {e parked} tickets only. The queue head — or a newcomer
-    arriving at an empty queue — claims a freed slot without ever being
-    counted, so up to [capacity] tickets wait while an unbounded stream
-    of tickets can pass straight through. [`Rejected] is returned exactly
-    when the presented ticket is not already parked {e and} the queue
-    already holds [retry_queue_capacity] tickets. A parked ticket is
-    never rejected on re-presentation. *)
-
 val waiting : engine -> int
-(** Tickets currently parked: the retry queue, or the admission queue
-    when adaptive admission is armed ({!set_admission}). *)
+(** Tickets currently parked in the admission queue, with or without a
+    controller armed. *)
 
 val num_slots : engine -> int
 (** Slot-pool capacity of the engine ([4096] for the [Simple]
     allocator). *)
 
-(** {1 Adaptive admission}
+(** {1 Admission}
 
-    A CoDel-style controlled-delay queue over the slot pool plus a
-    token-bucket rate limiter per tenant, replacing the blind FIFO
-    reject of {!instantiate_queued}. The controller runs at {e dequeue},
-    so the load it sheds is the load that waited longest — the slowest
-    requests — never random arrivals. Time is the caller's simulated
-    clock (nanoseconds), passed on every {!admit}. *)
+    One bounded FIFO ticket queue over the slot pool. With no controller
+    armed, {!admit} serves it in plain FIFO order and sheds only when it
+    is full. Arming a controller ({!set_admission}) adds a CoDel-style
+    controlled-delay law and a token-bucket rate limiter per tenant. The
+    controller runs at {e dequeue}, so the load it sheds is the load that
+    waited longest — the slowest requests — never random arrivals. Time
+    is the caller's simulated clock (nanoseconds), passed on every
+    {!admit}. *)
 
 type admission_config = Rt_types.admission_config = {
   target_delay_ns : float;
@@ -197,10 +175,10 @@ val shed_reason_code : shed_reason -> int
 val shed_reason_name : shed_reason -> string
 
 val set_admission : engine -> admission_config option -> unit
-(** Arm (or with [None] disarm) adaptive admission. Arming resets the
-    controller; parked retry-queue tickets are unaffected (the two
-    queues are independent — use one admission style per engine).
-    Raises [Invalid_argument] on non-positive parameters. *)
+(** Arm (or with [None] disarm) the admission controller. Arming resets
+    the controller state (sojourn law, token buckets, pressure); tickets
+    already parked stay parked in FIFO order either way. Raises
+    [Invalid_argument] on non-positive parameters. *)
 
 val set_admission_pressure : engine -> float -> unit
 (** Scale the armed controller's target and deadline by [factor]
@@ -221,15 +199,17 @@ val admit :
   now:float ->
   [ `Ready of instance | `Wait | `Shed of shed_reason ]
 (** Present [ticket] (owned by [tenant]) for admission at simulated time
-    [now]. With admission armed: new arrivals are charged one token from
-    the tenant's bucket, then either granted a slot immediately, parked
-    ([`Wait], up to [retry_queue_capacity]), or shed; parked tickets are
-    re-presented and the queue head is granted the next free slot unless
-    the CoDel controller or the ticket deadline sheds it. A shed ticket
-    is forgotten — re-presenting it counts as a new arrival. Without
-    admission armed, this delegates to {!instantiate_queued} (mapping
-    [`Rejected] to [`Shed Shed_queue_full]). Emits admission trace
-    events and bumps the [m_admitted]/[m_adm_*] metrics. *)
+    [now]. A new arrival at an empty queue with a free slot is granted it
+    ([`Ready]); otherwise it is parked ([`Wait]), or shed
+    ([`Shed Shed_queue_full]) when [retry_queue_capacity] tickets are
+    already parked — the capacity counts parked tickets only. Parked
+    tickets are re-presented, and only the queue head may claim a freed
+    slot. With a controller armed, a new arrival first takes a token from
+    its tenant's bucket ([`Shed Shed_rate_limited] when empty), and a
+    parked ticket is shed ([`Shed Shed_sojourn]) past the ticket deadline
+    or, at the head, by the CoDel law. A shed ticket is forgotten —
+    re-presenting it counts as a new arrival. Emits admission trace events
+    and bumps the [m_admitted]/[m_adm_*] metrics either way. *)
 
 val release : instance -> unit
 (** Recycle the instance's slot: drop only the pages this tenant actually
@@ -364,10 +344,10 @@ type metrics = {
   m_instantiations_cold : int;  (** first-use slot bring-ups *)
   m_instantiations_warm : int;  (** recycled-slot reuses *)
   m_admitted : int;  (** slot grants through {!admit} *)
-  m_adm_queued : int;  (** tickets parked by the admission controller *)
+  m_adm_queued : int;  (** tickets parked in the admission queue *)
   m_shed_sojourn : int;  (** CoDel / ticket-deadline sheds *)
   m_shed_rate_limited : int;  (** per-tenant token-bucket sheds *)
-  m_shed_queue_full : int;  (** queue-at-capacity sheds (incl. FIFO rejects) *)
+  m_shed_queue_full : int;  (** queue-at-capacity sheds *)
 }
 
 val metrics : engine -> metrics

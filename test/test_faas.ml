@@ -79,7 +79,21 @@ let test_dtlb_direction () =
 let test_config_validation () =
   Alcotest.check_raises "zero processes rejected"
     (Invalid_argument "Sim: process count must be >= 1") (fun () ->
-      ignore (Sim.run (quick_cfg ~mode:(Sim.Multiprocess 0) ())))
+      ignore (Sim.run (quick_cfg ~mode:(Sim.Multiprocess 0) ())));
+  let with_pool n =
+    let cfg = quick_cfg () in
+    { cfg with Sim.overload = { Sim.no_overload with Sim.pool_slots = Some n } }
+  in
+  Alcotest.check_raises "empty pool rejected"
+    (Invalid_argument "Sim: pool_slots must be >= 1") (fun () ->
+      ignore (Sim.run (with_pool 0)));
+  match Sim.run (with_pool 100_000_000) with
+  | _ -> Alcotest.fail "a pool beyond the address space must be rejected"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        ("typed pool layout error: " ^ msg)
+        true
+        (String.starts_with ~prefix:"Sim: pool layout: total slab (3515625 GiB)" msg)
 
 let test_faulty_sim_contained () =
   (* Misbehaving tenants: the simulation must run to completion (nothing

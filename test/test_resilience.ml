@@ -247,17 +247,17 @@ let test_admission_queue_capacity () =
   Alcotest.(check int) "rate code" 1 (Runtime.shed_reason_code Runtime.Shed_rate_limited);
   Alcotest.(check int) "capacity code" 2 (Runtime.shed_reason_code Runtime.Shed_queue_full)
 
-(* --- legacy FIFO queue: model-checked ------------------------------ *)
+(* --- admission with no controller: FIFO, model-checked ------------- *)
 
 (* Random interleavings of ticket presentation, release and kill against
    a reference model of the documented discipline: strict FIFO, only the
    head (or a newcomer finding an empty queue) may claim a freed slot,
-   and [`Rejected] exactly when a non-parked ticket arrives with the
-   queue already holding [retry_queue_capacity] tickets. *)
+   and [`Shed Shed_queue_full] exactly when a non-parked ticket arrives
+   with the queue already holding [retry_queue_capacity] tickets. *)
 let prop_fifo_model =
   let cap = 3 in
   let gen = QCheck.(list_of_size Gen.(int_range 1 80) (pair (int_range 0 11) (int_range 0 9))) in
-  QCheck.Test.make ~count:120 ~name:"instantiate_queued matches the FIFO model" gen
+  QCheck.Test.make ~count:120 ~name:"admit (no controller) matches the FIFO model" gen
     (fun ops ->
       let e = engine ~retry_queue_capacity:cap () in
       let queue = ref [] and free = ref (Runtime.num_slots e) and live = ref [] in
@@ -281,7 +281,7 @@ let prop_fifo_model =
               let is_head = match !queue with h :: _ -> h = ticket | [] -> false in
               let can_claim = (is_head || ((not queued) && !queue = [])) && !free > 0 in
               let expect_reject = (not queued) && (not can_claim) && List.length !queue >= cap in
-              (match Runtime.instantiate_queued e ~ticket with
+              (match Runtime.admit e ~ticket ~tenant:ticket ~now:0.0 with
               | `Ready inst ->
                   if not can_claim then fail_at i "granted out of FIFO order"
                   else begin
@@ -289,9 +289,10 @@ let prop_fifo_model =
                     live := inst :: !live;
                     if is_head then queue := List.tl !queue
                   end
-              | `Rejected ->
+              | `Shed Runtime.Shed_queue_full ->
                   if not expect_reject then
                     fail_at i "rejected though the queue was below capacity"
+              | `Shed _ -> fail_at i "shed for a reason other than capacity"
               | `Wait ->
                   if can_claim then fail_at i "parked though head + free slot"
                   else if expect_reject then fail_at i "parked though the queue was full"

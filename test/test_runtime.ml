@@ -283,26 +283,31 @@ let test_retry_queue () =
       (Codegen.compile (Codegen.default_config ()) (touch_module ()))
   in
   let instances = Array.init 8 (fun _ -> Runtime.instantiate e) in
-  (match Runtime.instantiate_queued e ~ticket:100 with
+  (match Runtime.admit e ~ticket:100 ~tenant:100 ~now:0.0 with
   | `Wait -> ()
   | _ -> Alcotest.fail "ticket 100 should wait");
-  (match Runtime.instantiate_queued e ~ticket:101 with
+  (match Runtime.admit e ~ticket:101 ~tenant:101 ~now:0.0 with
   | `Wait -> ()
   | _ -> Alcotest.fail "ticket 101 should wait");
-  (match Runtime.instantiate_queued e ~ticket:102 with
-  | `Rejected -> ()
+  (match Runtime.admit e ~ticket:102 ~tenant:102 ~now:0.0 with
+  | `Shed Runtime.Shed_queue_full -> ()
   | _ -> Alcotest.fail "queue full: ticket 102 should be rejected");
   Alcotest.(check int) "two waiters" 2 (Runtime.waiting e);
+  Alcotest.(check int) "parked tickets counted" 2 (Runtime.metrics e).Runtime.m_adm_queued;
+  (* Arming and disarming a controller keeps the parked tickets. *)
+  Runtime.set_admission e (Some Runtime.default_admission);
+  Runtime.set_admission e None;
+  Alcotest.(check int) "parked tickets survive set_admission" 2 (Runtime.waiting e);
   Runtime.kill instances.(3);
   (* The freed slot goes to the queue head, not a line-jumper. *)
-  (match Runtime.instantiate_queued e ~ticket:101 with
+  (match Runtime.admit e ~ticket:101 ~tenant:101 ~now:0.0 with
   | `Wait -> ()
   | _ -> Alcotest.fail "ticket 101 must not jump the queue");
-  (match Runtime.instantiate_queued e ~ticket:100 with
+  (match Runtime.admit e ~ticket:100 ~tenant:100 ~now:0.0 with
   | `Ready inst -> Alcotest.(check int) "head got the killed slot" 3 (Runtime.instance_id inst)
   | _ -> Alcotest.fail "queue head should get the freed slot");
   Runtime.kill instances.(5);
-  (match Runtime.instantiate_queued e ~ticket:101 with
+  (match Runtime.admit e ~ticket:101 ~tenant:101 ~now:0.0 with
   | `Ready _ -> ()
   | _ -> Alcotest.fail "next waiter should get the next slot");
   Alcotest.(check int) "queue drained" 0 (Runtime.waiting e)

@@ -133,6 +133,28 @@ let test_more_shards_than_tenants () =
     (Invalid_argument "Shard.run: shards must be >= 1") (fun () ->
       ignore (Shard.run (Shard.default_config ~shards:0 cfg)))
 
+let test_empty_shards () =
+  (* 6 tenants over 8 shards: some shards get no tenant, never run, and
+     must report zeros while the merge sums the shards that did run. *)
+  let cfg = base_cfg ~open_loop:true ~concurrency:6 () in
+  let rep = Shard.run (Shard.default_config ~shards:8 cfg) in
+  let shards = rep.Shard.r_shards in
+  let empty = Array.to_list shards |> List.filter (fun s -> s.Shard.sh_tenants = 0) in
+  Alcotest.(check bool) "some shards are empty" true (empty <> []);
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "empty shard completes nothing" 0 s.Shard.sh_completed;
+      Alcotest.(check int) "empty shard sheds nothing" 0 s.Shard.sh_shed;
+      Alcotest.(check bool) "empty shard is idle" true (s.Shard.sh_busy_ns = 0.0);
+      Alcotest.(check int64) "empty shard has zero metrics"
+        (Shard.metrics_fingerprint Runtime.zero_metrics)
+        (Shard.metrics_fingerprint s.Shard.sh_metrics))
+    empty;
+  Alcotest.(check bool) "work completed" true (rep.Shard.r_result.Sim.completed > 0);
+  Alcotest.(check int) "merged completions = sum over shards"
+    rep.Shard.r_result.Sim.completed
+    (Array.fold_left (fun acc s -> acc + s.Shard.sh_completed) 0 shards)
+
 let test_plan_stealing () =
   let shards = 4 in
   let n = 64 in
@@ -174,5 +196,6 @@ let tests =
     Harness.case "k-shard report shape and merge accounting"
       test_ksharded_report_shape;
     Harness.case "more shards than tenants" test_more_shards_than_tenants;
+    Harness.case "empty shards report zeros" test_empty_shards;
     Harness.case "dispatch plan: placement and tail stealing" test_plan_stealing;
   ]

@@ -314,6 +314,25 @@ let test_prometheus_format () =
   Alcotest.(check bool) "sample line" true (has "sfi_cycles_total 1234");
   Alcotest.(check bool) "second metric" true (has "# TYPE sfi_ratio gauge")
 
+(* Per-tenant accounting must sum to the run totals on every path that
+   ends a request: completion, trap/watchdog failure, collateral abort,
+   chaos kill and each shed reason. *)
+let check_tenant_accounting tag (res : Sim.result) =
+  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 res.Sim.tenants in
+  Alcotest.(check int)
+    (tag ^ ": completions attributed")
+    res.Sim.completed
+    (sum (fun t -> t.Sim.t_completed));
+  Alcotest.(check int)
+    (tag ^ ": failures attributed")
+    (res.Sim.failed + res.Sim.collateral_aborts)
+    (sum (fun t -> t.Sim.t_failed));
+  Alcotest.(check int)
+    (tag ^ ": sheds attributed")
+    (res.Sim.shed_sojourn + res.Sim.shed_rate_limited + res.Sim.shed_queue_full
+   + res.Sim.shed_priority)
+    (sum (fun t -> t.Sim.t_shed))
+
 let test_sim_tenant_breakdown () =
   let ring = Trace.create_ring () in
   let cfg =
@@ -328,12 +347,7 @@ let test_sim_tenant_breakdown () =
   let res = Sim.run cfg in
   Alcotest.(check int) "one stat per tenant" 8 (Array.length res.Sim.tenants);
   Alcotest.(check bool) "work happened" true (res.Sim.completed > 0);
-  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 res.Sim.tenants in
-  Alcotest.(check int) "completions attributed" res.Sim.completed (sum (fun t -> t.Sim.t_completed));
-  Alcotest.(check int)
-    "failures attributed"
-    (res.Sim.failed + res.Sim.collateral_aborts)
-    (sum (fun t -> t.Sim.t_failed));
+  check_tenant_accounting "fault-free" res;
   Array.iter
     (fun t ->
       if t.Sim.t_completed > 0 then begin
@@ -353,7 +367,80 @@ let test_sim_tenant_breakdown () =
       (0, 0) (Trace.events ring)
   in
   Alcotest.(check bool) "request spans recorded" true (begins > 0);
-  if Trace.dropped ring = 0 then Alcotest.(check int) "request spans balance" begins ends
+  if Trace.dropped ring = 0 then Alcotest.(check int) "request spans balance" begins ends;
+  (* Crash-looping and runaway tenants behind admission, breakers and the
+     degradation ladder on an 8-slot pool. *)
+  let overload =
+    {
+      Sim.no_overload with
+      Sim.pool_slots = Some 8;
+      admission = Some Runtime.default_admission;
+      breaker = Some Sfi_faas.Breaker.default_config;
+      degradation = true;
+      hedged_retries = true;
+      crash_tenants = [ 0 ];
+      runaway_tenants = [ 1 ];
+      low_priority = (fun id -> id mod 4 = 3);
+    }
+  in
+  let overloaded =
+    {
+      (Sim.default_config ~overload ~churn:true ~fair_scheduling:true ()) with
+      Sim.concurrency = 32;
+      duration_ns = 6e6;
+      io_mean_ns = 20_000.0;
+      epoch_ns = 5000.0;
+    }
+  in
+  let res = Sim.run overloaded in
+  Alcotest.(check bool) "overload: traps and watchdog kills happened" true
+    (res.Sim.failed > res.Sim.watchdog_kills && res.Sim.watchdog_kills > 0);
+  Alcotest.(check bool) "overload: sheds happened" true
+    (res.Sim.shed_sojourn + res.Sim.shed_rate_limited + res.Sim.shed_queue_full
+     + res.Sim.shed_priority
+    > 0);
+  check_tenant_accounting "overload" res;
+  let kills =
+    Sfi_inject.Chaos.plan
+      { (Sfi_inject.Chaos.default_config ~seed:3L ~perturbations:40 ()) with
+        Sfi_inject.Chaos.duration_ns = 6e6 }
+  in
+  let res = Sim.run { overloaded with Sim.chaos = kills } in
+  Alcotest.(check bool) "chaos: kills happened" true (res.Sim.chaos_kills > 0);
+  check_tenant_accounting "overload + chaos" res;
+  (* Process-death blast radius: a trap aborts every co-resident
+     in-flight request. *)
+  let res =
+    Sim.run
+      {
+        (Sim.default_config ~mode:(Sim.Multiprocess 2) ~fair_scheduling:true
+           ~faults:{ Sim.no_faults with Sim.trap_rate = 0.2; respawn_ns = 50_000.0 }
+           ())
+        with
+        Sim.concurrency = 16;
+        duration_ns = 4e6;
+        io_mean_ns = 100_000.0;
+        epoch_ns = 5000.0;
+      }
+  in
+  Alcotest.(check bool) "multiprocess: collateral aborts happened" true
+    (res.Sim.collateral_aborts > 0);
+  check_tenant_accounting "multiprocess" res;
+  (* Open-loop chaos, merged across shards. *)
+  let arrivals =
+    Sfi_faas.Workloads.synthesize ~seed:5L ~tenants:24 ~duration_ns:6e6 ~rps:400_000.0
+      ~shape:(Sfi_faas.Workloads.Diurnal { trough = 0.3 })
+      ~popularity:(Sfi_faas.Workloads.Zipf { skew = 1.1 })
+      ()
+  in
+  let rep =
+    Sfi_faas.Shard.run
+      (Sfi_faas.Shard.default_config ~shards:3
+         { overloaded with Sim.concurrency = 24; arrivals = Some arrivals; chaos = kills })
+  in
+  let res = rep.Sfi_faas.Shard.r_result in
+  Alcotest.(check bool) "sharded chaos: kills happened" true (res.Sim.chaos_kills > 0);
+  check_tenant_accounting "sharded open-loop chaos" res
 
 let tests =
   [
