@@ -1079,8 +1079,8 @@ let engine_compare () =
   metric "adaptive_speedup_vs_threaded" (ts /. as_);
   note
     "Engine ablation on this subset (identical simulated counters on every kernel): threaded \
-     %.2fx reference; tier2 %.2fx threaded; adaptive %.2fx threaded (profiler armed, hot \
-     blocks promoted mid-run)."
+     %.2fx reference; tier2 %.2fx threaded; adaptive %.2fx threaded (the same engine as \
+     tier2: every eligible block promoted at load)."
     (rs /. ts) (ts /. t2s) (ts /. as_);
   (* Tracing ablation: the same kernel with the default (no sink), an
      explicit null sink, and a live ring sink. The null sink must be free —

@@ -107,10 +107,10 @@ let engine_conv =
 let engine_arg =
   Arg.(value & opt engine_conv Sfi_machine.Machine.Adaptive
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: adaptive (profiler-driven superblock promotion of hot \
-                 blocks, default), tier2 (eager superblock promotion of every eligible \
-                 basic block), threaded (pre-translated closures, no superblocks), or \
-                 reference (the AST interpreter used as the differential oracle).")
+           ~doc:"Execution engine: adaptive (default) or tier2 (the same engine: every \
+                 eligible basic block promoted to a superblock at load), threaded \
+                 (pre-translated closures, no superblocks), or reference (the AST \
+                 interpreter used as the differential oracle).")
 
 (* The unified Prometheus-style snapshot: machine counters of one
    measurement plus the domain-local runtime aggregate (transitions by

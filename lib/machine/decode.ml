@@ -637,7 +637,7 @@ let run_reference t ~fuel =
        else begin
          decr budget;
          step t;
-         if sampling then prof_sample t
+         if sampling then prof_sample t 1
        end
      done
    with

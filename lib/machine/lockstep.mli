@@ -13,9 +13,9 @@
 
     A stride of 1 never lets the tiered engines enter a superblock (a
     block needs its whole slot budget up front), so strides > 1 are the
-    interesting setting for [Tier2]/[Adaptive]: every slice edge is a
-    dispatch boundary at which batched charges must have converged with
-    the per-instruction engines. *)
+    interesting setting for [Tier2] (and [Adaptive], the same engine):
+    every slice edge is a dispatch boundary at which batched charges must
+    have converged with the per-instruction engines. *)
 
 type divergence = {
   at_step : int;  (** instruction index at which the engines disagreed *)

@@ -60,8 +60,9 @@ val load_program : t -> Sfi_x86.Ast.program -> unit
     duplicate labels and on a direct branch ([Jmp], [Jcc], [Call]) to a
     label the program does not define. Profiler samples collected against
     the replaced program are dropped and accounted in {!profile_dropped}
-    (the histogram is resized for the new program). Under the [Tier2] engine,
-    every eligible block of the new program is promoted immediately. *)
+    (the histogram is resized for the new program). Under the [Tier2] and
+    [Adaptive] engines, every eligible block of the new program is promoted
+    immediately. *)
 
 val label_address : t -> string -> int
 (** Code byte address of a label (code_base + offset). Raises [Not_found]
@@ -103,10 +104,9 @@ type engine_kind =
           [set_engine]), with per-instruction counter updates batched into
           one charge per block *)
   | Adaptive
-      (** profiler-driven tiering: blocks start on the threaded
-          dispatcher and are promoted to superblocks between {!run}
-          slices once the sampling profiler sees them go hot (see
-          {!set_tier_config}) *)
+      (** the same engine as [Tier2], and the runtime default. It stays a
+          separate constructor only because the benchmark ledger names
+          all four engines *)
 
 val engine : t -> engine_kind
 val set_engine : t -> engine_kind -> unit
@@ -118,24 +118,11 @@ val set_engine : t -> engine_kind -> unit
     at block entry and roll back to the faulting instruction on a trap,
     so at every dispatch boundary (any [run ~fuel] slice edge) the
     {!snapshot} of a tiered machine is bit-identical to an untiered
-    one. Selecting [Threaded] or [Reference] demotes every promoted
-    block. *)
+    one. Selecting [Tier2] or [Adaptive] promotes every eligible block of
+    the loaded program; selecting [Threaded] or [Reference] demotes every
+    promoted block. *)
 
-(** {1 Tier policy} *)
-
-type tier_config = {
-  threshold : int;  (** profiler samples in a block before promotion (default 8) *)
-  stride : int;  (** fresh samples between promotion scans (default 256) *)
-  min_len : int;  (** smallest block worth fusing, in dispatch slots (default 2) *)
-}
-
-val default_tier_config : tier_config
-val tier_config : t -> tier_config
-
-val set_tier_config : t -> tier_config -> unit
-(** Tune the [Adaptive] promotion policy. Raises [Invalid_argument] if any
-    knob is [<= 0]. Takes effect at the next promotion scan; already
-    promoted blocks stay promoted. *)
+(** {1 Tier stats} *)
 
 type tier_stats = {
   blocks_total : int;  (** basic blocks in the loaded program *)
@@ -212,21 +199,21 @@ val set_trace : t -> Sfi_trace.Trace.t -> unit
     on every [wrpkru] (both engines, identically) and a
     [fuel.checkpoint] each time {!run} yields. Trace emission never
     touches the performance counters, so traced and untraced runs stay
-    bit-identical under {!Lockstep}. *)
+    bit-identical under {!Lockstep}. An enabled sink demotes every
+    promoted block that can trap (their batched cycle charges would shift
+    event timestamps). Those blocks stay on the per-instruction dispatcher
+    until the next {!load_program} or {!set_engine} made while no enabled
+    sink is attached. *)
 
 val arm_profiler : ?interval:int -> t -> unit
 (** Start sampling the program counter every [interval] (default 64)
     executed instructions into a per-instruction histogram. Arming
     clears previous samples. Sampling runs in a dedicated dispatch loop
     so the disarmed hot path is unchanged, and it perturbs no
-    architectural state or counters. Selecting the [Adaptive] engine
-    arms the profiler (at the default interval) if it is not already
-    armed. *)
+    architectural state or counters. *)
 
 val disarm_profiler : t -> unit
-(** Stop sampling. Collected samples remain readable. Under the
-    [Adaptive] engine this also freezes tier promotion at the current
-    assignment — already-promoted superblocks keep running. *)
+(** Stop sampling. Collected samples remain readable. *)
 
 val profile_samples : t -> int
 (** Total samples collected since the profiler was last armed. *)

@@ -2,9 +2,9 @@
    small accessors that touch only state. The execution pipeline is layered
    on top — [Decode] (operand/memory primitives + the reference
    interpreter), [Translate] (the per-op body compiler shared by tiers 1
-   and 2 + basic-block analysis), [Tier] (superblock promotion and the
-   dispatch loop) — and re-exported through the [Machine] facade, which is
-   the only module with a public interface. *)
+   and 2 + basic-block analysis), [Tier] (eager superblock promotion and
+   the dispatch loop) — and re-exported through the [Machine] facade,
+   which is the only module with a public interface. *)
 
 open Sfi_x86.Ast
 module Space = Sfi_vmem.Space
@@ -138,23 +138,17 @@ and t = {
   (* Sampling hot-PC profiler: every [prof_interval] executed instructions
      (0 = disarmed) the current pc is bucketed into [prof_counts]. The
      sampling run loops are separate from the untraced ones, so the
-     default path keeps its tight dispatch. [prof_total] mirrors the
-     histogram sum so promotion scans can throttle without an O(n) fold;
-     [prof_dropped] counts samples discarded when [load_program] replaces
-     the program the histogram described. *)
+     default path keeps its tight dispatch. [prof_dropped] counts samples
+     discarded when [load_program] replaces the program the histogram
+     described. *)
   mutable prof_interval : int;
   mutable prof_credit : int;
   mutable prof_counts : int array;
-  mutable prof_total : int;
   mutable prof_dropped : int;
-  mutable prof_last_scan : int;
-  (* Tier promotion policy knobs + lifetime stats. [sb_retired] counts
-     instructions retired inside superblocks (a host-side statistic, not
-     part of the observable snapshot — tiered and untierd runs differ on
-     it by design). *)
-  mutable tier_threshold : int;
-  mutable tier_stride : int;
-  mutable tier_min_len : int;
+  (* Tier promotion lifetime stats. [sb_retired] counts instructions
+     retired inside superblocks (a host-side statistic, not part of the
+     observable snapshot — tiered and untiered runs differ on it by
+     design). *)
   mutable tier_promotions : int;
   mutable sb_retired : int;
 }
@@ -184,15 +178,6 @@ let fresh_counters () =
 let default_dcache_config =
   (* 512 lines x 8 ways x 64 B = 32 KiB, a typical L1D. *)
   { Tlb.entries = 512; ways = 8; page_walk_levels = 0; walk_cycles_per_level = 0 }
-
-(* Defaults for the promotion policy: a block is worth a superblock once
-   the profiler has seen ~threshold samples land in it (at the default
-   1-in-64 sampling cadence that is ~512 retired instructions), scans are
-   amortized over [tier_stride] fresh samples, and 1-slot blocks are never
-   promoted (nothing to batch). *)
-let default_tier_threshold = 8
-let default_tier_stride = 256
-let default_tier_min_len = 2
 
 let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = default_code_base)
     ?(fsgsbase_available = true) space =
@@ -234,12 +219,7 @@ let create ?(cost = Cost.default) ?(tlb = Tlb.default_config) ?(code_base = defa
     prof_interval = 0;
     prof_credit = 0;
     prof_counts = [||];
-    prof_total = 0;
     prof_dropped = 0;
-    prof_last_scan = 0;
-    tier_threshold = default_tier_threshold;
-    tier_stride = default_tier_stride;
-    tier_min_len = default_tier_min_len;
     tier_promotions = 0;
     sb_retired = 0;
   }
@@ -319,31 +299,18 @@ let instr_at t idx =
   | Some l when idx >= 0 && idx < Array.length l.program -> Some l.program.(idx)
   | _ -> None
 
-(* Bucket the pc a sampling loop stopped at. Counter effects: none — the
-   profiler observes execution without perturbing it, so armed and
-   disarmed runs stay bit-identical under lockstep comparison. *)
-let[@inline] prof_sample t =
-  t.prof_credit <- t.prof_credit - 1;
-  if t.prof_credit <= 0 then begin
-    t.prof_credit <- t.prof_interval;
-    let pc = t.pc in
-    if pc >= 0 && pc < Array.length t.prof_counts then begin
-      t.prof_counts.(pc) <- t.prof_counts.(pc) + 1;
-      t.prof_total <- t.prof_total + 1
-    end
-  end
-
-(* Same cadence for a superblock that just retired [slots] dispatch slots:
-   spend the credit in one subtraction and bucket the block-exit pc. The
-   histogram is a statistical view, so attributing the whole block to its
-   exit pc is fine — and it is never part of the observable snapshot. *)
-let[@inline] prof_sample_block t slots =
+(* Bucket the pc a sampling loop stopped at after retiring [slots]
+   dispatch slots (1 for a single dispatch, the block length for a
+   superblock, whose whole run is attributed to its exit pc). Counter
+   effects: none — the profiler observes execution without perturbing it,
+   so armed and disarmed runs stay bit-identical under lockstep
+   comparison, and the histogram is never part of the observable
+   snapshot. *)
+let[@inline] prof_sample t slots =
   t.prof_credit <- t.prof_credit - slots;
   if t.prof_credit <= 0 then begin
     t.prof_credit <- t.prof_interval;
     let pc = t.pc in
-    if pc >= 0 && pc < Array.length t.prof_counts then begin
-      t.prof_counts.(pc) <- t.prof_counts.(pc) + 1;
-      t.prof_total <- t.prof_total + 1
-    end
+    if pc >= 0 && pc < Array.length t.prof_counts then
+      t.prof_counts.(pc) <- t.prof_counts.(pc) + 1
   end

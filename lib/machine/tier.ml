@@ -1,5 +1,7 @@
 (* Tier 2: superblock promotion, and the one dispatch loop of the
-   translated engines. A promoted basic block executes as one closure that
+   translated engines. [Tier2] and [Adaptive] promote every eligible
+   block when a program is loaded or the engine is selected; [Threaded]
+   promotes nothing. A promoted basic block executes as one closure that
    charges instruction/code-byte/fixed-cycle counters once at block entry
    (constant-folded at promotion time) and then runs the same per-op
    bodies tier 1 wraps ([Translate.compile_body]), without their
@@ -120,12 +122,15 @@ let promote_block t (l : loaded) (b : block) =
   if Sfi_trace.Trace.enabled t.trace then
     Sfi_trace.Trace.tier_promote t.trace ~cls:(class_rank b.b_class) ~block:s ~len:k
 
-(* Promotion policy. [Bbypass] never promotes; trappable classes promote
-   only while tracing is off, because their dynamic TLB/dcache/PKRU events
-   carry cycle timestamps that batching would shift. [Bpure] blocks emit
-   nothing and promote unconditionally. *)
+(* Promotion policy, applied eagerly by [promote_all]. 1-slot blocks have
+   nothing to batch and are never promoted. [Bbypass] never promotes;
+   trappable classes promote only while tracing is off, because their
+   dynamic TLB/dcache/PKRU events carry cycle timestamps that batching
+   would shift. [Bpure] blocks emit nothing and promote unconditionally. *)
+let tier_min_len = 2
+
 let eligible t (b : block) =
-  b.b_len >= t.tier_min_len
+  b.b_len >= tier_min_len
   &&
   match b.b_class with
   | Bpure -> true
@@ -154,30 +159,6 @@ let demote t p =
           end)
         l.blocks
 
-(* Profiler-driven promotion sweep, throttled to one O(program) pass per
-   [tier_stride] fresh samples. A block is hot once the histogram holds
-   [tier_threshold] samples across its slots. *)
-let adaptive_scan t =
-  match t.loaded with
-  | None -> ()
-  | Some l ->
-      if t.prof_total - t.prof_last_scan >= t.tier_stride then begin
-        t.prof_last_scan <- t.prof_total;
-        let counts = t.prof_counts in
-        let ncounts = Array.length counts in
-        Array.iter
-          (fun b ->
-            if l.sb_len.(b.b_start) = 0 && eligible t b then begin
-              let sum = ref 0 in
-              let hi = min (b.b_start + b.b_len) ncounts in
-              for i = b.b_start to hi - 1 do
-                sum := !sum + counts.(i)
-              done;
-              if !sum >= t.tier_threshold then promote_block t l b
-            end)
-          l.blocks
-      end
-
 (* The dispatch loop of every translated engine: superblock when the
    current pc heads one and the remaining budget covers all of its slots
    (so fuel boundaries stay aligned with tier-1 dispatch slots), single
@@ -203,12 +184,12 @@ let run_tiered t ~fuel =
           if k > 0 && k <= !budget then begin
             budget := !budget - k;
             sb_exec.(pc) t;
-            prof_sample_block t k
+            prof_sample t k
           end
           else begin
             decr budget;
             code.(pc) t;
-            prof_sample t
+            prof_sample t 1
           end
         done;
         Yielded

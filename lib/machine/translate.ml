@@ -464,6 +464,4 @@ let install t program =
   if stale > 0 then t.prof_dropped <- t.prof_dropped + stale;
   if t.prof_interval > 0 then t.prof_counts <- Array.make (n + 1) 0
   else if Array.length t.prof_counts > 0 then t.prof_counts <- [||];
-  t.prof_total <- 0;
-  t.prof_last_scan <- 0;
   t.pc <- 0

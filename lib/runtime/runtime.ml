@@ -59,10 +59,10 @@ let create_engine ?cost ?tlb ?(fsgsbase_available = true)
     ?(retry_queue_capacity = 64) ?code_base ?engine (compiled : Codegen.compiled) =
   let space = Space.create () in
   let machine = Machine.create ?cost ?tlb ~fsgsbase_available ?code_base space in
-  (* Default to the adaptive tier: threaded dispatch with profiler-driven
-     superblock promotion of hot blocks — observationally identical to
-     [Threaded] (lockstep- and fuzzer-pinned) and strictly faster on
-     host time once a workload has hot loops. *)
+  (* Default to [Adaptive], the same engine as [Tier2]: every eligible
+     block becomes a superblock when [load_program] runs below.
+     Observationally identical to [Threaded] (lockstep- and
+     fuzzer-pinned). *)
   Machine.set_engine machine (match engine with Some k -> k | None -> Machine.Adaptive);
   Machine.load_program machine compiled.Codegen.program;
   (* Indirect-call tables: code addresses and type ids, host memory. *)

@@ -72,9 +72,9 @@ val create_engine :
     exception-handler and ABI work (sec 6.4.1) besides the entry sequence's
     own instructions; the [Pure] and [Readonly] hostcall springboards cost
     10 and 24 cycles. [engine] selects the machine's execution
-    engine (default {!Sfi_machine.Machine.Adaptive}: threaded dispatch
-    plus profiler-driven superblock promotion — observationally identical
-    to [Threaded] but faster on host time once hot blocks tier up). *)
+    engine (default {!Sfi_machine.Machine.Adaptive}, the same engine as
+    [Tier2]: every eligible basic block is promoted to a superblock when
+    the program is loaded — observationally identical to [Threaded]). *)
 
 val machine : engine -> Sfi_machine.Machine.t
 val space : engine -> Sfi_vmem.Space.t

@@ -1,9 +1,10 @@
 (* Tests for the tiered execution pipeline: profiler sample accounting
-   across program swaps (the [profile_dropped] contract), eager and
-   adaptive superblock promotion, bit-identity of mid-run promotion with
-   the per-instruction engines (handcrafted, qcheck-random, and fuzzer
-   corpus programs), trace-driven demotion of trappable superblocks, and
-   the page-access-cache invalidation edge across a superblock boundary. *)
+   across program swaps (the [profile_dropped] contract), eager superblock
+   promotion under [Tier2] and the [Adaptive] runtime default,
+   bit-identity of mid-run promotion with the per-instruction engines
+   (handcrafted, qcheck-random, and fuzzer corpus programs), trace-driven
+   demotion of trappable superblocks, and the page-access-cache
+   invalidation edge across a superblock boundary. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -71,24 +72,8 @@ let test_profile_dropped_on_swap () =
   Alcotest.(check int) "dropped count is lifetime, not clobbered" s
     (Machine.profile_dropped m)
 
-let test_disarm_sticks_under_adaptive () =
-  let m = make_machine (loop_program 200) () in
-  Machine.set_engine m Machine.Adaptive;
-  (match Machine.execute m ~entry:"entry" () with
-  | Machine.Halted -> ()
-  | _ -> Alcotest.fail "loop should halt");
-  let s = Machine.profile_samples m in
-  Alcotest.(check bool) "adaptive auto-armed the profiler" true (s > 0);
-  (* An explicit disarm must survive further adaptive runs: promotion
-     freezes, sampling stops, and the histogram is left readable. *)
-  Machine.disarm_profiler m;
-  (match Machine.execute m ~entry:"entry" () with
-  | Machine.Halted -> ()
-  | _ -> Alcotest.fail "loop should halt");
-  Alcotest.(check int) "disarmed: no new samples" s (Machine.profile_samples m)
-
 (* ------------------------------------------------------------------ *)
-(* Promotion policy: eager tier 2, adaptive, trace demotion.           *)
+(* Promotion policy: eager tier 2, the runtime default, trace demotion. *)
 (* ------------------------------------------------------------------ *)
 
 (* A pure block (entry, ends in jmp) followed by a hazardous block (the
@@ -123,18 +108,28 @@ let test_tier2_eager_promotion () =
   Alcotest.(check bool) "instructions retired in superblocks" true
     (Machine.superblock_retired m > 0)
 
-let test_adaptive_promotes_hot_loop () =
-  let m = make_machine (loop_program 20_000) () in
-  Machine.set_engine m Machine.Adaptive;
-  Alcotest.(check int) "nothing promoted before running" 0
-    (Machine.tier_stats m).Machine.blocks_promoted;
-  (match Machine.execute m ~entry:"entry" () with
-  | Machine.Halted -> ()
-  | _ -> Alcotest.fail "loop should halt");
-  let st = Machine.tier_stats m in
-  Alcotest.(check bool) "hot loop promoted mid-run" true (st.Machine.blocks_promoted > 0);
+(* The runtime default promotes every eligible block when the program is
+   loaded, exactly as [Tier2] does, and never arms the profiler. *)
+let test_default_engine_promotes_at_load () =
+  let k = Sfi_workloads.Sightglass.fib2 in
+  let compiled =
+    Codegen.compile (Codegen.default_config ~strategy:Strategy.segue ()) (Lazy.force k.wasm)
+  in
+  let promoted eng = (Machine.tier_stats (Runtime.machine eng)).Machine.blocks_promoted in
+  let eng = Runtime.create_engine compiled in
+  let before = promoted eng in
+  Alcotest.(check bool) "promoted before the first run" true (before > 0);
+  Alcotest.(check int) "same promotion as tier2"
+    (promoted (Runtime.create_engine ~engine:Machine.Tier2 compiled))
+    before;
+  let inst = Runtime.instantiate eng in
+  (match Runtime.invoke inst k.entry [ 10L ] with
+  | Ok _ -> ()
+  | Error t -> Alcotest.failf "fib2 trapped: %s" (X.trap_name t));
+  let m = Runtime.machine eng in
   Alcotest.(check bool) "superblock instructions retired" true
-    (st.Machine.superblock_instructions > 0)
+    ((Machine.tier_stats m).Machine.superblock_instructions > 0);
+  Alcotest.(check int) "profiler never armed" 0 (Machine.profile_samples m)
 
 let test_trace_demotes_trappable_blocks () =
   let setup m = Machine.set_hostcall_handler m (fun _ _ -> ()) in
@@ -151,17 +146,6 @@ let test_trace_demotes_trappable_blocks () =
   match Machine.execute m ~entry:"entry" () with
   | Machine.Halted -> ()
   | _ -> Alcotest.fail "should halt"
-
-let test_tier_config_validated () =
-  let m = make_machine [ X.Nop ] () in
-  Alcotest.(check bool) "defaults exposed" true
-    (Machine.tier_config m = Machine.default_tier_config);
-  Alcotest.check_raises "zero stride rejected"
-    (Invalid_argument "Machine.set_tier_config: knobs must be > 0") (fun () ->
-      Machine.set_tier_config m { Machine.default_tier_config with Machine.stride = 0 });
-  let cfg = { Machine.threshold = 2; stride = 64; min_len = 3 } in
-  Machine.set_tier_config m cfg;
-  Alcotest.(check bool) "knobs round-trip" true (Machine.tier_config m = cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Mid-run promotion is unobservable.                                  *)
@@ -230,10 +214,10 @@ let test_lockstep_tiered_engines () =
     ~setup:(fun m -> Machine.set_hostcall_handler m (fun _ _ -> ()))
     (Machine.Reference, Machine.Tier2) mixed_program
 
-(* Randomized: the adaptive engine against the reference interpreter
-   through the full Wasm pipeline. Promotion happens at chunk boundaries
-   mid-invoke, so agreement here pins "promoting between run slices is
-   unobservable" on generated programs. *)
+(* Randomized: the runtime's default engine ([Adaptive], which promotes
+   every eligible block at load) against the reference interpreter
+   through the full Wasm pipeline, including traps, memory images and
+   every counter. *)
 let run_wasm engine m args =
   let cfg = Codegen.default_config ~strategy:Strategy.segue () in
   let compiled = Codegen.compile cfg m in
@@ -347,11 +331,9 @@ let case name f = Alcotest.test_case name `Quick f
 let tests =
   [
     case "profiler: load_program surfaces dropped samples" test_profile_dropped_on_swap;
-    case "profiler: disarm sticks under adaptive" test_disarm_sticks_under_adaptive;
     case "tier2: eager promotion and stats" test_tier2_eager_promotion;
-    case "adaptive: hot loop promoted mid-run" test_adaptive_promotes_hot_loop;
+    case "runtime default: promoted at load like tier2" test_default_engine_promotes_at_load;
     case "trace: trappable superblocks demoted" test_trace_demotes_trappable_blocks;
-    case "tier config: knobs validated and round-trip" test_tier_config_validated;
     case "mid-run promotion: snapshots bit-identical" test_midrun_promotion_snapshot_identical;
     case "lockstep: tiered engine pairs" test_lockstep_tiered_engines;
     case "threaded after tier2: demoted and identical" test_threaded_after_tier2_demotes;
