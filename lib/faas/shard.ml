@@ -211,19 +211,7 @@ let run cfg =
     if tracing then Some (Trace.merge_shards (Array.to_list rings)) else None
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 results in
   let maxi f = List.fold_left (fun acc r -> max acc (f r)) 0 results in
-  let completed = sum (fun r -> r.Sim.completed) in
-  let failed = sum (fun r -> r.Sim.failed) in
-  let collateral = sum (fun r -> r.Sim.collateral_aborts) in
-  let deadline_misses = sum (fun r -> r.Sim.deadline_misses) in
-  (* Each shard serves on its own simulated core over the same simulated
-     interval, so merged wall time is the max, busy time the sum. *)
-  let simulated_ns =
-    List.fold_left (fun acc r -> Float.max acc r.Sim.simulated_ns) 0.0 results
-  in
-  let cpu_busy_ns = sumf (fun r -> r.Sim.cpu_busy_ns) in
-  let attempts = completed + failed + collateral in
   let tenants =
     Array.init n (fun g ->
         (* Tenant [g] lives on shard [assign.(g)], so that shard ran. *)
@@ -232,45 +220,47 @@ let run cfg =
         { st with Sim.t_id = g })
   in
   let merged =
-    {
-      Sim.completed;
-      failed;
-      watchdog_kills = sum (fun r -> r.Sim.watchdog_kills);
-      collateral_aborts = collateral;
-      recycles = sum (fun r -> r.Sim.recycles);
-      pages_zeroed = sum (fun r -> r.Sim.pages_zeroed);
-      admitted = sum (fun r -> r.Sim.admitted);
-      shed_sojourn = sum (fun r -> r.Sim.shed_sojourn);
-      shed_rate_limited = sum (fun r -> r.Sim.shed_rate_limited);
-      shed_queue_full = sum (fun r -> r.Sim.shed_queue_full);
-      shed_priority = sum (fun r -> r.Sim.shed_priority);
-      deadline_misses;
-      breaker_opens = sum (fun r -> r.Sim.breaker_opens);
-      breaker_fast_fails = sum (fun r -> r.Sim.breaker_fast_fails);
-      breakers_open_at_end = sum (fun r -> r.Sim.breakers_open_at_end);
-      degrade_steps = sum (fun r -> r.Sim.degrade_steps);
-      max_degrade_level = maxi (fun r -> r.Sim.max_degrade_level);
-      chaos_applied = sum (fun r -> r.Sim.chaos_applied);
-      chaos_kills = sum (fun r -> r.Sim.chaos_kills);
-      slo_burn_starts = sum (fun r -> r.Sim.slo_burn_starts);
-      slo_burn_stops = sum (fun r -> r.Sim.slo_burn_stops);
-      slo_burning_at_end = sum (fun r -> r.Sim.slo_burning_at_end);
-      throughput_rps = float_of_int attempts /. (simulated_ns /. 1.0e9);
-      goodput_rps =
-        float_of_int (completed - deadline_misses) /. (simulated_ns /. 1.0e9);
-      availability =
-        (if attempts = 0 then 1.0
-         else float_of_int completed /. float_of_int attempts);
-      capacity_rps = float_of_int completed /. (cpu_busy_ns /. 1.0e9);
-      context_switches = sum (fun r -> r.Sim.context_switches);
-      user_transitions = sum (fun r -> r.Sim.user_transitions);
-      dtlb_misses = sum (fun r -> r.Sim.dtlb_misses);
-      checksum =
-        List.fold_left (fun acc r -> Int64.add acc r.Sim.checksum) 0L results;
-      simulated_ns;
-      cpu_busy_ns;
-      tenants;
-    }
+    Sim.with_rates
+      {
+        Sim.completed = sum (fun r -> r.Sim.completed);
+        failed = sum (fun r -> r.Sim.failed);
+        watchdog_kills = sum (fun r -> r.Sim.watchdog_kills);
+        collateral_aborts = sum (fun r -> r.Sim.collateral_aborts);
+        recycles = sum (fun r -> r.Sim.recycles);
+        pages_zeroed = sum (fun r -> r.Sim.pages_zeroed);
+        admitted = sum (fun r -> r.Sim.admitted);
+        shed_sojourn = sum (fun r -> r.Sim.shed_sojourn);
+        shed_rate_limited = sum (fun r -> r.Sim.shed_rate_limited);
+        shed_queue_full = sum (fun r -> r.Sim.shed_queue_full);
+        shed_priority = sum (fun r -> r.Sim.shed_priority);
+        deadline_misses = sum (fun r -> r.Sim.deadline_misses);
+        breaker_opens = sum (fun r -> r.Sim.breaker_opens);
+        breaker_fast_fails = sum (fun r -> r.Sim.breaker_fast_fails);
+        breakers_open_at_end = sum (fun r -> r.Sim.breakers_open_at_end);
+        degrade_steps = sum (fun r -> r.Sim.degrade_steps);
+        max_degrade_level = maxi (fun r -> r.Sim.max_degrade_level);
+        chaos_applied = sum (fun r -> r.Sim.chaos_applied);
+        chaos_kills = sum (fun r -> r.Sim.chaos_kills);
+        slo_burn_starts = sum (fun r -> r.Sim.slo_burn_starts);
+        slo_burn_stops = sum (fun r -> r.Sim.slo_burn_stops);
+        slo_burning_at_end = sum (fun r -> r.Sim.slo_burning_at_end);
+        throughput_rps = 0.0;
+        goodput_rps = 0.0;
+        availability = 0.0;
+        capacity_rps = 0.0;
+        context_switches = sum (fun r -> r.Sim.context_switches);
+        user_transitions = sum (fun r -> r.Sim.user_transitions);
+        dtlb_misses = sum (fun r -> r.Sim.dtlb_misses);
+        checksum =
+          List.fold_left (fun acc r -> Int64.add acc r.Sim.checksum) 0L results;
+        (* Each shard serves on its own simulated core over the same
+           simulated interval, so merged wall time is the max, busy time the
+           sum. *)
+        simulated_ns =
+          List.fold_left (fun acc r -> Float.max acc r.Sim.simulated_ns) 0.0 results;
+        cpu_busy_ns = List.fold_left (fun acc r -> acc +. r.Sim.cpu_busy_ns) 0.0 results;
+        tenants;
+      }
   in
   let stolen_into = Array.make shards 0 in
   for g = 0 to n - 1 do

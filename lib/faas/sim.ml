@@ -2,11 +2,9 @@ module Machine = Sfi_machine.Machine
 module Cost = Sfi_machine.Cost
 module Runtime = Sfi_runtime.Runtime
 module Codegen = Sfi_core.Codegen
-module Strategy = Sfi_core.Strategy
 module Pool = Sfi_core.Pool
 module Prng = Sfi_util.Prng
 module Units = Sfi_util.Units
-module Stats = Sfi_util.Stats
 module Hist = Sfi_util.Hist
 module Trace = Sfi_trace.Trace
 module Flight = Sfi_trace.Flight
@@ -188,6 +186,24 @@ type result = {
   tenants : tenant_stat array;
 }
 
+(* Where a slot's current logical request stands. [Idle]: not yet past
+   the breaker (or no request pending). [Admitted]: the breaker let it
+   through and it waits for a slot. [Parked]: its ticket waits in the
+   admission controller's queue. [Running]: an activation is in flight. *)
+type phase = Idle | Admitted | Parked | Running of Runtime.activation
+
+(* How a request left service; [settle] does each one's bookkeeping. *)
+type failure = Trapped | Watchdog | Died
+
+type outcome =
+  | Completed of { value : int64; slice_at : float }
+  | Failed of failure
+  | Chaos_killed
+  | Collateral
+  | Shed of Runtime.shed_reason
+  | Priority_shed
+  | Fast_failed
+
 type request = {
   id : int;
   proc : int;
@@ -195,9 +211,7 @@ type request = {
   mutable had_inst : bool; (* ever held a slot (recycle accounting) *)
   mutable ready_at : float;
   mutable arrived_at : float; (* when the current logical request arrived *)
-  mutable parked : bool; (* ticket parked in the admission queue *)
-  mutable bk_admitted : bool; (* breaker already admitted this request *)
-  mutable act : Runtime.activation option;
+  mutable phase : phase;
   mutable seq : int; (* per-slot completion count, seeds the next request *)
   mutable started_at : float; (* sim time the current activation started *)
 }
@@ -246,6 +260,19 @@ let fresh_engines cfg m =
         Runtime.create_engine ~tlb:server_tlb ~allocator:(Runtime.Pool layout)
           ?engine:cfg.engine compiled;
       ]
+
+(* The rates of a result, derived from its counters. The rate fields of
+   the record passed in are ignored. *)
+let with_rates r =
+  let attempts = r.completed + r.failed + r.collateral_aborts in
+  {
+    r with
+    throughput_rps = float_of_int attempts /. (r.simulated_ns /. 1.0e9);
+    goodput_rps = float_of_int (r.completed - r.deadline_misses) /. (r.simulated_ns /. 1.0e9);
+    availability =
+      (if attempts = 0 then 1.0 else float_of_int r.completed /. float_of_int attempts);
+    capacity_rps = float_of_int r.completed /. (r.cpu_busy_ns /. 1.0e9);
+  }
 
 let run cfg =
   let m = Workloads.module_of cfg.workload in
@@ -318,18 +345,20 @@ let run cfg =
         Array.map (fun l -> Array.of_list (List.sort compare l)) per
   in
   let arr_next = Array.make (max 1 cfg.concurrency) 0 in
-  let initial_arrival id =
-    let q = arr_times.(id) in
-    if Array.length q = 0 then infinity
-    else begin
-      arr_next.(id) <- 1;
-      q.(0)
-    end
+  (* Move a slot on to its tenant's next scheduled arrival (possibly
+     already in the past — then it has been queueing and is immediately
+     ready, with its e2e latency including the wait). *)
+  let next_arrival r =
+    let q = arr_times.(r.id) and i = arr_next.(r.id) in
+    let at = if i < Array.length q then q.(i) else infinity in
+    arr_next.(r.id) <- i + 1;
+    r.ready_at <- at;
+    r.arrived_at <- at
   in
   let requests =
     Array.init cfg.concurrency (fun id ->
         let proc = id mod nprocs in
-        let ready_at = if open_loop then initial_arrival id else io_delay () in
+        let ready_at = if open_loop then infinity else io_delay () in
         {
           id;
           proc;
@@ -337,13 +366,12 @@ let run cfg =
           had_inst = prewarm;
           ready_at;
           arrived_at = ready_at;
-          parked = false;
-          bk_admitted = false;
-          act = None;
+          phase = Idle;
           seq = 0;
           started_at = 0.0;
         })
   in
+  if open_loop then Array.iter next_arrival requests;
   (* Lifecycle cost model: instantiation / recycle work in OS pages, priced
      at [page_zero_ns] each (0.0 = free, the historical behavior). The CoW
      runtime pays the dirty pages its recycles actually dropped plus one
@@ -368,9 +396,7 @@ let run cfg =
      request array is built so only churn-driven lifecycle work is billed. *)
   let lifecycle_prev = Array.init nprocs lifecycle_pages in
   let cost = Machine.cost_model (Runtime.machine engines.(0)) in
-  let cycles_of_ns ns = Cost.cycles_of_ns cost ns in
-  let ns_of_cycles c = Cost.ns_of_cycles cost c in
-  let epoch_fuel = cycles_of_ns cfg.epoch_ns in
+  let epoch_fuel = Cost.cycles_of_ns cost cfg.epoch_ns in
   (* The watchdog deadline bounds every request, not only fault-injected
      runs: a runaway guest must be stopped even when the fault model is
      off (e.g. a chaos run or a deliberately misbehaving tenant). *)
@@ -382,33 +408,20 @@ let run cfg =
      nested bars over sim time. *)
   Trace.set_clock trace (fun () -> int_of_float !clock);
   (* Move a slot on to its tenant's next logical request: the next
-     scheduled arrival in open-loop mode (possibly already in the past —
-     then it has been queueing and is immediately ready, with its e2e
-     latency including the wait), or a fresh think-time arrival in the
-     closed loop. *)
-  let next_arrival r =
-    let q = arr_times.(r.id) in
-    let i = arr_next.(r.id) in
-    if i >= Array.length q then begin
-      r.ready_at <- infinity;
-      r.arrived_at <- infinity
-    end
-    else begin
-      arr_next.(r.id) <- i + 1;
-      r.ready_at <- q.(i);
-      r.arrived_at <- q.(i)
-    end
-  in
-  (* [delay] draws the closed-loop think time (default: the workload's IO
-     delay); it is only called in the closed loop, so an open-loop re-arm
-     draws from no PRNG stream. *)
-  let rearm ?(delay = io_delay) r =
+     scheduled arrival in the open loop, or a fresh think-time arrival in
+     the closed loop. [delay] draws the think time (default: the
+     workload's IO delay), counted from [from] (default: now); it is only
+     called in the closed loop, so an open-loop re-arm draws from no PRNG
+     stream. *)
+  let rearm ?(from = !clock) ?(delay = io_delay) r =
     if open_loop then next_arrival r
     else begin
-      r.ready_at <- !clock +. delay ();
+      r.ready_at <- from +. delay ();
       r.arrived_at <- r.ready_at
     end
   in
+  let epoch_delay () = cfg.epoch_ns in
+  let chaos_delay () = Prng.exponential chaos_rng ~mean:cfg.io_mean_ns in
   let t_completed = Array.make cfg.concurrency 0 in
   let t_failed = Array.make cfg.concurrency 0 in
   let t_shed = Array.make cfg.concurrency 0 in
@@ -443,7 +456,7 @@ let run cfg =
   (* Advance the global clock by the cycles an engine just spent. *)
   let charge proc =
     let c = (Machine.counters (Runtime.machine engines.(proc))).Machine.cycles in
-    let delta = ns_of_cycles (c - engine_cycles.(proc)) in
+    let delta = Cost.ns_of_cycles cost (c - engine_cycles.(proc)) in
     clock := !clock +. delta;
     busy := !busy +. delta;
     engine_cycles.(proc) <- c;
@@ -458,9 +471,17 @@ let run cfg =
       lifecycle_prev.(proc) <- w
     end
   in
+  let fold f = Array.fold_left (fun acc e -> acc + f e) 0 engines in
+  let breakers_open () =
+    match breakers with
+    | None -> 0
+    | Some arr ->
+        Array.fold_left
+          (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
+          0 arr
+  in
   (* --- flight recorder: post-mortem freezes --- *)
   let flight_counters () =
-    let fold f = Array.fold_left (fun acc e -> acc + f e) 0 engines in
     let mach f = fold (fun e -> f (Runtime.machine e)) in
     [
       ("clock_ns", !clock);
@@ -475,14 +496,7 @@ let run cfg =
       ("shed_priority", float_of_int !shed_priority);
       ("breaker_opens", float_of_int !breaker_opens);
       ("breaker_fast_fails", float_of_int !breaker_fast_fails);
-      ( "breakers_open",
-        match breakers with
-        | None -> 0.0
-        | Some arr ->
-            float_of_int
-              (Array.fold_left
-                 (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
-                 0 arr) );
+      ("breakers_open", float_of_int (breakers_open ()));
       ("admission_waiting", float_of_int (fold Runtime.waiting));
       ("ladder_level", float_of_int !ladder_level);
       ("chaos_applied", float_of_int !chaos_applied);
@@ -579,35 +593,24 @@ let run cfg =
         note_breaker_transition id b prev
   in
   (* May tenant [id]'s next request proceed? An open breaker fast-fails it
-     without touching the pool; the refusal parks the request until the
-     breaker's next probe time. Fast-fails are not serving failures — the
-     request never entered service — so they are counted separately. The
-     breaker is consulted once per logical request ([bk_admitted]): a
-     request it admitted that then waits on admission or a transient
-     instantiate failure is not re-asked — in particular a half-open
-     probe delayed that way must not fast-fail its own tenant forever. *)
-  let breaker_allow r =
+     without touching the pool. The breaker is consulted once per logical
+     request (phase [Idle]): a request it admitted that then waits on
+     admission or a transient instantiate failure is not re-asked — in
+     particular a half-open probe delayed that way must not fast-fail its
+     own tenant forever. *)
+  let breaker_allow id =
     match breakers with
     | None -> true
     | Some arr ->
-        let b = arr.(r.id) in
+        let b = arr.(id) in
         let prev = Breaker.state b in
         let ok = Breaker.allow b ~now:!clock in
-        note_breaker_transition r.id b prev;
-        if ok then r.bk_admitted <- true
-        else begin
-          incr breaker_fast_fails;
-          r.ready_at <-
-            (match Breaker.state b with
-            | Breaker.Open -> Float.max (Breaker.retry_at b) (!clock +. cfg.epoch_ns)
-            | _ -> !clock +. cfg.epoch_ns)
-        end;
+        note_breaker_transition id b prev;
         ok
   in
   (* --- graceful-degradation ladder ([ladder_level] hoisted above) --- *)
   let degrade_steps = ref 0 in
   let max_degrade_level = ref 0 in
-  let hedged = ref ov.hedged_retries in
   let window_len = 4.0 *. cfg.epoch_ns in
   let window_end = ref window_len in
   let window_sheds = ref 0 in
@@ -628,7 +631,6 @@ let run cfg =
         let reserve = if lvl >= 1 then min (slots - 1) (max 1 (slots / 8)) else 0 in
         Runtime.set_slot_reserve e reserve)
       engines;
-    hedged := ov.hedged_retries && lvl < 2;
     Trace.degrade_step trace ~level:lvl
   in
   let ladder_tick () =
@@ -663,26 +665,122 @@ let run cfg =
       end
     end
   in
-  (* The client behind a shed ticket gives up and issues a fresh request
-     later; a half-open breaker whose probe was shed re-opens. *)
-  let note_shed r reason =
-    t_shed.(r.id) <- t_shed.(r.id) + 1;
-    slo_record r.id ~good:false;
-    (match reason with
-    | Runtime.Shed_sojourn ->
-        incr shed_sojourn;
-        incr window_sheds
-    | Runtime.Shed_rate_limited -> incr shed_rate_limited
-    | Runtime.Shed_queue_full ->
-        incr shed_queue_full;
-        incr window_sheds);
-    (match breakers with
-    | Some arr when Breaker.state arr.(r.id) = Breaker.Half_open ->
-        with_breaker r.id (Breaker.on_failure ~now:!clock)
-    | _ -> ());
-    r.parked <- false;
-    r.bk_admitted <- false;
-    rearm r
+  let kill_instance r =
+    match r.inst with Some i when Runtime.live i -> Runtime.kill i | _ -> ()
+  in
+  (* Under multiprocess scaling a trap is a process death; under
+     ColorGuard only the faulting instance is torn down. *)
+  let shared_process = match cfg.mode with Multiprocess _ -> true | Colorguard -> false in
+  (* The one bookkeeping path of every request outcome: the per-tenant
+     counters, the SLO stream, the trace event, the breaker feedback and
+     the re-arm. Failures and sheds settle at the current clock. A
+     completion settles after its slice is charged, so its latency
+     includes the execution just billed, while its closed-loop think
+     time counts from [slice_at], when the slice began. *)
+  let rec settle r outcome =
+    let id = r.id in
+    match outcome with
+    | Completed { value; slice_at } ->
+        incr completed;
+        checksum := Int64.add !checksum (Int64.logand value 0xFFFFFFFFL);
+        t_completed.(id) <- t_completed.(id) + 1;
+        let lat = !clock -. r.started_at in
+        let e2e = !clock -. r.arrived_at in
+        (match ov.request_deadline_ns with
+        | Some d when e2e > d -> incr deadline_misses
+        | _ -> ());
+        with_breaker id (fun b -> Breaker.on_slow b ~now:!clock ~elapsed_ns:lat);
+        Trace.request_end trace ~tenant:id ~ok:true;
+        (* The exemplar points at the request-end event just stored, so
+           a percentile spike links to the exact span in the export. *)
+        Hist.record_exemplar t_lat.(id) lat ~index:(max 0 (Trace.length trace - 1));
+        Hist.record t_e2e.(id) e2e;
+        slo_record id ~good:(slo_good lat);
+        r.phase <- Idle;
+        r.seq <- r.seq + 1;
+        rearm ~from:slice_at r
+    | Failed _ | Chaos_killed -> (
+        if outcome = Failed Watchdog then incr watchdog_kills;
+        incr failed;
+        t_failed.(id) <- t_failed.(id) + 1;
+        slo_record id ~good:false;
+        Trace.request_end trace ~tenant:id ~ok:false;
+        with_breaker id (Breaker.on_failure ~now:!clock);
+        r.phase <- Idle;
+        r.seq <- r.seq + 1;
+        match outcome with
+        | Chaos_killed ->
+            kill_instance r;
+            rearm ~delay:chaos_delay r
+        | _ ->
+            freeze_flight "fault";
+            if outcome = Failed Trapped && shared_process then
+              crash_process r.proc ~except:id;
+            (* Hedged retry (until the ladder downgrades it at L2): resubmit
+               the failed request next epoch instead of after a full IO
+               round-trip. *)
+            let hedged = ov.hedged_retries && !ladder_level < 2 in
+            rearm ~delay:(if hedged then epoch_delay else io_delay) r)
+    | Collateral ->
+        (* The aborted request runs again once its process respawns. *)
+        incr collateral;
+        t_failed.(id) <- t_failed.(id) + 1;
+        slo_record id ~good:false;
+        Trace.request_end trace ~tenant:id ~ok:false;
+        r.phase <- Admitted
+    | Shed reason ->
+        (* The client behind a shed ticket gives up and issues a fresh
+           request later; a half-open breaker whose probe was shed
+           re-opens. *)
+        t_shed.(id) <- t_shed.(id) + 1;
+        slo_record id ~good:false;
+        (match reason with
+        | Runtime.Shed_sojourn ->
+            incr shed_sojourn;
+            incr window_sheds
+        | Runtime.Shed_rate_limited -> incr shed_rate_limited
+        | Runtime.Shed_queue_full ->
+            incr shed_queue_full;
+            incr window_sheds);
+        (match breakers with
+        | Some arr when Breaker.state arr.(id) = Breaker.Half_open ->
+            with_breaker id (Breaker.on_failure ~now:!clock)
+        | _ -> ());
+        r.phase <- Idle;
+        rearm r
+    | Priority_shed ->
+        (* Reason code 3 in the trace = priority shed (the runtime codes
+           cover 0-2). *)
+        incr shed_priority;
+        t_shed.(id) <- t_shed.(id) + 1;
+        slo_record id ~good:false;
+        Trace.admission_shed trace ~tenant:id ~sojourn:0 ~reason:3;
+        r.phase <- Idle;
+        rearm r
+    | Fast_failed ->
+        (* Not a serving failure — the request never entered service — so
+           it is counted apart from [failed]. It waits for the breaker's
+           next probe. *)
+        incr breaker_fast_fails;
+        r.ready_at <-
+          (match breakers with
+          | Some arr when Breaker.state arr.(id) = Breaker.Open ->
+              Float.max (Breaker.retry_at arr.(id)) (!clock +. cfg.epoch_ns)
+          | _ -> !clock +. cfg.epoch_ns)
+  (* Blast radius of a process crash: every co-resident instance dies,
+     its in-flight request is aborted, and every co-resident slot waits
+     out the respawn. *)
+  and crash_process proc ~except =
+    Array.iter
+      (fun r2 ->
+        if r2.proc = proc && r2.id <> except then begin
+          (match r2.phase with Running _ -> settle r2 Collateral | _ -> ());
+          kill_instance r2;
+          r2.ready_at <- !clock +. f.respawn_ns
+        end)
+      requests;
+    clock := !clock +. f.respawn_ns;
+    busy := !busy +. f.respawn_ns
   in
   (* Crash recovery / slot acquisition: get a slot through the engine's
      admission queue (plain FIFO, plus the CoDel controller when armed).
@@ -703,161 +801,84 @@ let run cfg =
           | `Ready inst ->
               if r.had_inst then incr recycles;
               r.had_inst <- true;
-              r.parked <- false;
+              (match r.phase with Parked -> r.phase <- Admitted | _ -> ());
               r.inst <- Some inst;
               true
           | `Wait ->
-              if ov.admission <> None then r.parked <- true;
+              (match r.phase with
+              | Admitted when ov.admission <> None -> r.phase <- Parked
+              | _ -> ());
               r.ready_at <- !clock +. cfg.epoch_ns;
               false
           | `Shed reason ->
-              if ov.admission = None then begin
+              if ov.admission = None then
                 (* Full queue with no controller: keep the historical epoch
                    retry (and its PRNG stream) byte-for-byte. *)
-                r.ready_at <- !clock +. cfg.epoch_ns;
-                false
-              end
-              else begin
-                note_shed r reason;
-                false
-              end
+                r.ready_at <- !clock +. cfg.epoch_ns
+              else settle r (Shed reason);
+              false
         end
   in
-  (* Blast radius of a crash. Under multiprocess scaling a trap is a process
-     death: every co-resident instance dies and its in-flight request is
-     aborted. Under ColorGuard only the faulting instance is torn down. *)
-  let crash_process proc ~except =
-    Array.iter
-      (fun r2 ->
-        if r2.proc = proc && r2.id <> except then begin
-          if r2.act <> None then begin
-            incr collateral;
-            t_failed.(r2.id) <- t_failed.(r2.id) + 1;
-            slo_record r2.id ~good:false;
-            Trace.request_end trace ~tenant:r2.id ~ok:false;
-            r2.act <- None
-          end;
-          (match r2.inst with
-          | Some i when Runtime.live i -> Runtime.kill i
-          | _ -> ());
-          r2.ready_at <- !clock +. f.respawn_ns
-        end)
-      requests;
-    clock := !clock +. f.respawn_ns;
-    busy := !busy +. f.respawn_ns
-  in
-  (* The one bookkeeping path of a failed in-flight request (trap,
-     watchdog, dead instance, chaos kill): the caller re-arms it. *)
-  let fail r =
-    incr failed;
-    t_failed.(r.id) <- t_failed.(r.id) + 1;
-    slo_record r.id ~good:false;
-    Trace.request_end trace ~tenant:r.id ~ok:false;
-    with_breaker r.id (Breaker.on_failure ~now:!clock);
-    r.act <- None;
-    r.seq <- r.seq + 1;
-    r.bk_admitted <- false
-  in
-  let fail_request r ~is_crash =
-    fail r;
-    freeze_flight "fault";
-    (match cfg.mode with
-    | Multiprocess _ when is_crash -> crash_process r.proc ~except:r.id
-    | _ -> ());
-    (* Hedged retry (until the ladder downgrades it at L2): resubmit the
-       failed request next epoch instead of after a full IO round-trip.
-       Open loop: the failed request is dropped and the tenant moves on
-       to its next scheduled arrival. *)
-    if !hedged then rearm ~delay:(fun () -> cfg.epoch_ns) r else rearm r
+  (* One epoch of service for an admitted request. *)
+  let serve r =
+    if ensure_instance r then begin
+      let inst = match r.inst with Some i -> i | None -> assert false in
+      let act =
+        match r.phase with
+        | Running a -> a
+        | _ ->
+            let seed = Int64.of_int (1 + r.id + (r.seq * 8191)) in
+            let a = Runtime.start_call ?deadline_fuel inst (draw_entry r.id) [ seed ] in
+            r.phase <- Running a;
+            r.started_at <- !clock;
+            Trace.request_begin trace ~tenant:r.id;
+            a
+      in
+      let mach = Runtime.machine engines.(r.proc) in
+      let sb0 = Machine.superblock_retired mach in
+      let in0 = (Machine.counters mach).Machine.instructions in
+      let slice_at = !clock in
+      let stop = Runtime.step act ~fuel:epoch_fuel in
+      (* Tenant-attributed superblock occupancy: the engine's counters are
+         monotonic across requests, so per-slice deltas sum cleanly even
+         when the instance is killed or recycled mid-request. *)
+      t_sb.(r.id) <- t_sb.(r.id) + (Machine.superblock_retired mach - sb0);
+      t_instr.(r.id) <- t_instr.(r.id) + ((Machine.counters mach).Machine.instructions - in0);
+      match stop with
+      | `More -> charge r.proc (* preempted; stays ready *)
+      | `Done v ->
+          (* High-churn mode: every request runs on a fresh instance, the
+             §6.4.3 FaaS pattern. Release recycles the slot (dirty pages
+             revert to the image); the next request re-instantiates. *)
+          if cfg.churn then Runtime.release inst;
+          charge r.proc;
+          settle r (Completed { value = v; slice_at })
+      | (`Trapped _ | `Fault _) as stop ->
+          (* A trap already killed the instance and recycled its slot; a
+             dead instance (a neighbour's crash) retries on a fresh one.
+             Failures settle before the slice is charged, so they keep
+             their pre-charge timestamps (ready_at, respawn). *)
+          settle r
+            (Failed
+               (match stop with
+               | `Trapped _ -> Trapped
+               | `Fault Runtime.Fuel_exhausted -> Watchdog
+               | `Fault _ -> Died));
+          charge r.proc
+    end
   in
   let run_request r =
-    if
-      !ladder_level >= 3 && r.act = None && (not r.parked) && ov.low_priority r.id
-    then begin
-      (* L3: shed low-priority arrivals outright. Reason code 3 in the
-         trace = priority shed (the runtime codes cover 0-2). *)
-      incr shed_priority;
-      t_shed.(r.id) <- t_shed.(r.id) + 1;
-      slo_record r.id ~good:false;
-      Trace.admission_shed trace ~tenant:r.id ~sojourn:0 ~reason:3;
-      r.bk_admitted <- false;
-      rearm r
-    end
-    else if r.act <> None || r.parked || r.bk_admitted || breaker_allow r then begin
-      if ensure_instance r then begin
-        let inst = match r.inst with Some i -> i | None -> assert false in
-        let arrival = r.arrived_at in
-        let completed_now = ref false in
-        let act =
-          match r.act with
-          | Some a -> a
-          | None ->
-              let seed = Int64.of_int (1 + r.id + (r.seq * 8191)) in
-              let a = Runtime.start_call ?deadline_fuel inst (draw_entry r.id) [ seed ] in
-              r.act <- Some a;
-              r.started_at <- !clock;
-              Trace.request_begin trace ~tenant:r.id;
-              a
-        in
-        (* Tenant-attributed superblock occupancy: the engine's counters are
-           monotonic across requests, so per-slice deltas sum cleanly even
-           when the instance is killed or recycled mid-request. *)
-        let mach = Runtime.machine engines.(r.proc) in
-        let sb0 = Machine.superblock_retired mach in
-        let in0 = (Machine.counters mach).Machine.instructions in
-        (match Runtime.step act ~fuel:epoch_fuel with
-        | `Done v ->
-            incr completed;
-            checksum := Int64.add !checksum (Int64.logand v 0xFFFFFFFFL);
-            completed_now := true;
-            r.act <- None;
-            r.seq <- r.seq + 1;
-            (* High-churn mode: every request runs on a fresh instance, the
-               §6.4.3 FaaS pattern. Release recycles the slot (dirty pages
-               revert to the image); the next request re-instantiates. *)
-            if cfg.churn then Runtime.release inst;
-            r.bk_admitted <- false;
-            rearm r
-        | `Trapped _ ->
-            (* The sandbox crashed; Runtime.step already killed the instance
-               and recycled its slot. The request failed — count it, never
-               abort the simulation. *)
-            fail_request r ~is_crash:true
-        | `Fault Runtime.Fuel_exhausted ->
-            (* Watchdog kill: runaway loop exceeded its deadline. *)
-            incr watchdog_kills;
-            fail_request r ~is_crash:false
-        | `Fault _ ->
-            (* Instance died under us (e.g. collateral of a neighbour's
-               crash); retry on a fresh instance. *)
-            fail_request r ~is_crash:false
-        | `More -> () (* preempted; stays ready *));
-        t_sb.(r.id) <- t_sb.(r.id) + (Machine.superblock_retired mach - sb0);
-        t_instr.(r.id) <-
-          t_instr.(r.id) + ((Machine.counters mach).Machine.instructions - in0);
-        charge r.proc;
-        (* Latency is measured after [charge] so it includes the execution
-           time the engine just billed; the failure paths above keep their
-           pre-charge timestamps (ready_at, respawn) unchanged. *)
-        if !completed_now then begin
-          t_completed.(r.id) <- t_completed.(r.id) + 1;
-          let lat = !clock -. r.started_at in
-          let e2e = !clock -. arrival in
-          (match ov.request_deadline_ns with
-          | Some d when e2e > d -> incr deadline_misses
-          | _ -> ());
-          with_breaker r.id (fun b ->
-              Breaker.on_slow b ~now:!clock ~elapsed_ns:lat);
-          Trace.request_end trace ~tenant:r.id ~ok:true;
-          (* The exemplar points at the request-end event just stored, so
-             a percentile spike links to the exact span in the export. *)
-          Hist.record_exemplar t_lat.(r.id) lat
-            ~index:(max 0 (Trace.length trace - 1));
-          Hist.record t_e2e.(r.id) e2e;
-          slo_record r.id ~good:(slo_good lat)
+    match r.phase with
+    | (Idle | Admitted) when !ladder_level >= 3 && ov.low_priority r.id ->
+        (* L3: shed low-priority arrivals outright. *)
+        settle r Priority_shed
+    | Idle ->
+        if breaker_allow r.id then begin
+          r.phase <- Admitted;
+          serve r
         end
-      end
-    end
+        else settle r Fast_failed
+    | Admitted | Parked | Running _ -> serve r
   in
   (* --- chaos: seeded perturbations applied to the live run --- *)
   let chaos_pending =
@@ -877,8 +898,9 @@ let run cfg =
         let candidates =
           Array.to_list requests
           |> List.filter (fun r ->
-                 r.act <> None
-                 && match r.inst with Some i -> Runtime.live i | None -> false)
+                 match (r.phase, r.inst) with
+                 | Running _, Some i -> Runtime.live i
+                 | _ -> false)
         in
         match candidates with
         | [] -> ()
@@ -886,11 +908,7 @@ let run cfg =
             let r = List.nth l (Prng.int chaos_rng (List.length l)) in
             victim := r.id;
             incr chaos_kills;
-            fail r;
-            (match r.inst with
-            | Some i when Runtime.live i -> Runtime.kill i
-            | _ -> ());
-            rearm ~delay:(fun () -> Prng.exponential chaos_rng ~mean:cfg.io_mean_ns) r)
+            settle r Chaos_killed)
     | Chaos_latency { factor; window_ns } ->
         latency_factor := factor;
         latency_until := !clock +. window_ns
@@ -948,7 +966,7 @@ let run cfg =
     while !found = None && !i < n_requests do
       let k = (!rr_cursor + !i) mod n_requests in
       let r = requests.(k) in
-      if (proc < 0 || r.proc = proc) && r.ready_at <= !clock then begin
+      if r.proc = proc && r.ready_at <= !clock then begin
         found := Some r;
         if cfg.fair_scheduling then rr_cursor := (k + 1) mod n_requests
       end;
@@ -973,38 +991,39 @@ let run cfg =
     clock :=
       max !clock (min (min (next_ready_time ()) (next_chaos_time ())) cfg.duration_ns)
   in
+  let other_with_work () =
+    let found = ref None in
+    for k = 1 to nprocs - 1 do
+      let p = (!current_proc + k) mod nprocs in
+      if !found = None && ready_in p <> None then found := Some p
+    done;
+    !found
+  in
+  (* The OS timeslice loop. ColorGuard is one process, so it never
+     switches. *)
   while !clock < cfg.duration_ns do
     chaos_tick ();
     ladder_tick ();
-    match cfg.mode with
-    | Colorguard -> (
-        match ready_in (-1) with Some r -> run_request r | None -> idle_jump ())
-    | Multiprocess _ -> (
-        (* A timeslice expires: move on if someone else has work. *)
-        let other_with_work () =
-          let found = ref None in
-          for k = 1 to nprocs - 1 do
-            let p = (!current_proc + k) mod nprocs in
-            if !found = None && ready_in p <> None then found := Some p
-          done;
-          !found
-        in
-        if !clock -. !slice_start >= cfg.epoch_ns then begin
-          match other_with_work () with
-          | Some p -> switch_to p
-          | None -> slice_start := !clock
-        end;
-        match ready_in !current_proc with
-        | Some r -> run_request r
-        | None -> (
-            match other_with_work () with
-            | Some p -> switch_to p
-            | None -> idle_jump ()))
+    (* A timeslice expires: move on if someone else has work. *)
+    if !clock -. !slice_start >= cfg.epoch_ns then begin
+      match other_with_work () with
+      | Some p -> switch_to p
+      | None -> slice_start := !clock
+    end;
+    match ready_in !current_proc with
+    | Some r -> run_request r
+    | None -> (
+        match other_with_work () with
+        | Some p -> switch_to p
+        | None -> idle_jump ())
   done;
   (* Balance the trace: activations still in flight when the simulated
      duration expires get their span closed (not counted as failures). *)
   Array.iter
-    (fun r -> if r.act <> None then Trace.request_end trace ~tenant:r.id ~ok:false)
+    (fun r ->
+      match r.phase with
+      | Running _ -> Trace.request_end trace ~tenant:r.id ~ok:false
+      | _ -> ())
     requests;
   (* Final burn-rate sweep so [slo_burning_at_end] reflects the stream's
      last state, then stamp the ring's fingerprint into the exemplars. *)
@@ -1045,67 +1064,42 @@ let run cfg =
           t_e2e_hist = e2e;
         })
   in
-  let breakers_open_at_end =
-    match breakers with
-    | None -> 0
-    | Some arr ->
-        Array.fold_left
-          (fun acc b -> if Breaker.state b <> Breaker.Closed then acc + 1 else acc)
-          0 arr
-  in
-  let admitted =
-    Array.fold_left
-      (fun acc e -> acc + (Runtime.metrics e).Runtime.m_admitted)
-      0 engines
-  in
-  let user_transitions =
-    Array.fold_left (fun acc e -> acc + Runtime.transitions e) 0 engines
-  in
-  let dtlb_misses =
-    Array.fold_left (fun acc e -> acc + Machine.dtlb_misses (Runtime.machine e)) 0 engines
-  in
-  let attempts = !completed + !failed + !collateral in
-  let pages_zeroed =
-    Array.fold_left
-      (fun acc e -> acc + (Runtime.metrics e).Runtime.m_pages_zeroed_on_recycle)
-      0 engines
-  in
-  {
-    completed = !completed;
-    failed = !failed;
-    watchdog_kills = !watchdog_kills;
-    collateral_aborts = !collateral;
-    recycles = !recycles;
-    pages_zeroed;
-    admitted;
-    shed_sojourn = !shed_sojourn;
-    shed_rate_limited = !shed_rate_limited;
-    shed_queue_full = !shed_queue_full;
-    shed_priority = !shed_priority;
-    deadline_misses = !deadline_misses;
-    breaker_opens = !breaker_opens;
-    breaker_fast_fails = !breaker_fast_fails;
-    breakers_open_at_end;
-    degrade_steps = !degrade_steps;
-    max_degrade_level = !max_degrade_level;
-    chaos_applied = !chaos_applied;
-    chaos_kills = !chaos_kills;
-    slo_burn_starts = !slo_burn_starts;
-    slo_burn_stops = !slo_burn_stops;
-    slo_burning_at_end = !burning;
-    throughput_rps = float_of_int attempts /. (!clock /. 1.0e9);
-    goodput_rps = float_of_int (!completed - !deadline_misses) /. (!clock /. 1.0e9);
-    availability =
-      (if attempts = 0 then 1.0 else float_of_int !completed /. float_of_int attempts);
-    capacity_rps = float_of_int !completed /. (!busy /. 1.0e9);
-    context_switches = !context_switches;
-    user_transitions;
-    dtlb_misses;
-    checksum = !checksum;
-    simulated_ns = !clock;
-    cpu_busy_ns = !busy;
-    tenants;
-  }
+  with_rates
+    {
+      completed = !completed;
+      failed = !failed;
+      watchdog_kills = !watchdog_kills;
+      collateral_aborts = !collateral;
+      recycles = !recycles;
+      pages_zeroed = fold (fun e -> (Runtime.metrics e).Runtime.m_pages_zeroed_on_recycle);
+      admitted = fold (fun e -> (Runtime.metrics e).Runtime.m_admitted);
+      shed_sojourn = !shed_sojourn;
+      shed_rate_limited = !shed_rate_limited;
+      shed_queue_full = !shed_queue_full;
+      shed_priority = !shed_priority;
+      deadline_misses = !deadline_misses;
+      breaker_opens = !breaker_opens;
+      breaker_fast_fails = !breaker_fast_fails;
+      breakers_open_at_end = breakers_open ();
+      degrade_steps = !degrade_steps;
+      max_degrade_level = !max_degrade_level;
+      chaos_applied = !chaos_applied;
+      chaos_kills = !chaos_kills;
+      slo_burn_starts = !slo_burn_starts;
+      slo_burn_stops = !slo_burn_stops;
+      slo_burning_at_end = !burning;
+      throughput_rps = 0.0;
+      goodput_rps = 0.0;
+      availability = 0.0;
+      capacity_rps = 0.0;
+      context_switches = !context_switches;
+      user_transitions = fold Runtime.transitions;
+      dtlb_misses = fold (fun e -> Machine.dtlb_misses (Runtime.machine e));
+      checksum = !checksum;
+      simulated_ns = !clock;
+      cpu_busy_ns = !busy;
+      tenants;
+    }
 
 let throughput_gain ~workload ~processes cfg =
   (* Capacity per core-second: below CPU saturation both strategies finish

@@ -300,6 +300,12 @@ val run : config -> result
     slab larger than the user address space), or an arrival for a tenant
     outside [0, concurrency). *)
 
+val with_rates : result -> result
+(** [r] with [throughput_rps], [goodput_rps], [availability] and
+    [capacity_rps] recomputed from its counters, [simulated_ns] and
+    [cpu_busy_ns]; the rates [r] carried are ignored. {!run} and the
+    shard merge both derive their rates here. *)
+
 val throughput_gain : workload:Workloads.t -> processes:int -> config -> float
 (** Percent throughput advantage of ColorGuard over [processes]-process
     scaling for the same load — one point of Figure 6. The [config] supplies
