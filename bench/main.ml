@@ -17,8 +17,6 @@
      dune exec bench/main.exe -- --jobs 4    # domain count (default: all cores)
      dune exec bench/main.exe -- --serial    # single-domain, unbuffered output
      dune exec bench/main.exe -- --list      # list experiment ids
-     dune exec bench/main.exe -- --bechamel  # Bechamel micro-measurements
-                                             # (one Test.make per table/figure)
 *)
 
 module Stats = Sfi_util.Stats
@@ -630,7 +628,6 @@ let overload () =
         admission = (if admission then Some Runtime.default_admission else None);
         breaker = (if admission then Some Sfi_faas.Breaker.default_config else None);
         degradation = admission;
-        hedged_retries = admission;
         crash_tenants = crash;
       }
     in
@@ -865,7 +862,7 @@ let lifecycle () =
   let churn_cfg legacy =
     {
       (Sim.default_config ~workload:Fworkloads.Hash_balance ~churn:true
-         ~page_zero_ns:4937.5 ~legacy_lifecycle:legacy ())
+         ~lifecycle:(if legacy then Sim.Whole_heap else Sim.Cow_pages) ())
       with
       Sim.io_mean_ns = 200_000.0;
       epoch_ns = 50_000.0;
@@ -1119,62 +1116,6 @@ let engine_compare () =
      pathological regression fails the experiment. *)
   if pct ring_s > 25.0 then
     failwith (Printf.sprintf "engine: ring-sink tracing overhead %.1f%% > 25%%" (pct ring_s))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-measurements: one Test.make per table/figure.        *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let quick_kernel (k : Kernel.t) strategy =
-    Staged.stage (fun () ->
-        let small = { k with Kernel.args = [ 2L ]; native = None } in
-        ignore (Kernel.run ~strategy small))
-  in
-  let tests =
-    [
-      Test.make ~name:"fig3_spec2006_segue"
-        (quick_kernel Sfi_workloads.Spec2006.namd Strategy.segue);
-      Test.make ~name:"table2_binary_size"
-        (Staged.stage (fun () ->
-             ignore (Kernel.code_size ~strategy:Strategy.segue Sfi_workloads.Spec2006.namd)));
-      Test.make ~name:"fig4_sightglass_wamr"
-        (quick_kernel Sfi_workloads.Sightglass.gimli Strategy.segue_loads_only);
-      Test.make ~name:"sec6_2_polybench" (quick_kernel Sfi_workloads.Polybench.atax Strategy.segue);
-      Test.make ~name:"fig5_spec2017_lfi"
-        (Staged.stage (fun () ->
-             let m = Lazy.force Sfi_workloads.Spec2017.leela.Kernel.wasm in
-             ignore (Lfi.run_lfi ~segue:true m ~entry:"run" ~args:[ 50L ])));
-      Test.make ~name:"table1_invariants"
-        (Staged.stage (fun () ->
-             match Pool.compute Pool.default_params with
-             | Ok l -> ignore (Invariants.check l)
-             | Error _ -> ()));
-      Test.make ~name:"sec6_4_2_scaling"
-        (Staged.stage (fun () -> ignore (Colorguard.scaling Pool.default_params)));
-      Test.make ~name:"fig6_faas"
-        (Staged.stage (fun () ->
-             let cfg = Sim.default_config () in
-             ignore (Sim.run { cfg with Sim.duration_ns = 1.0e6; Sim.concurrency = 16 })));
-      Test.make ~name:"sec7_mte"
-        (Staged.stage (fun () ->
-             let store = Sfi_vmem.Mte.create () in
-             ignore
-               (Colorguard.Mte_cost.init_instance Colorguard.Mte_cost.default store
-                  ~memory_bytes:65536 ~tag:5)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) () in
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name b ->
-          Printf.printf "bechamel: %-24s %d raw samples\n%!" name
-            (Array.length b.Bechamel.Benchmark.lr))
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz gate.                                             *)
@@ -1662,7 +1603,7 @@ let () =
   and names = ref [] in
   let usage () =
     prerr_endline
-      "usage: main.exe [--list] [--bechamel] [--quick] [--serial] [--jobs N] [--json FILE] \
+      "usage: main.exe [--list] [--quick] [--serial] [--jobs N] [--json FILE] \
        [--check-baseline FILE] [experiment ...]";
     exit 1
   in
@@ -1670,9 +1611,6 @@ let () =
     | [] -> ()
     | "--list" :: _ ->
         List.iter (fun (name, _) -> print_endline name) experiments;
-        exit 0
-    | "--bechamel" :: _ ->
-        bechamel_suite ();
         exit 0
     | "--json" :: file :: rest ->
         json := Some file;

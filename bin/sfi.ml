@@ -429,7 +429,6 @@ let top_cmd =
           admission = (if resilient then Some Runtime.default_admission else None);
           breaker = (if resilient then Some Sfi_faas.Breaker.default_config else None);
           degradation = resilient;
-          hedged_retries = resilient;
           slo = (if resilient then Some (Sfi_faas.Slo.default_config ()) else None);
         }
     in

@@ -21,11 +21,9 @@ type config = {
   base : Sim.config;
   shards : int;
   steal : bool;
-  trace_capacity : int;
 }
 
-let default_config ?(steal = true) ?(trace_capacity = 65536) ~shards base =
-  { base; shards; steal; trace_capacity }
+let default_config ?(steal = true) ~shards base = { base; shards; steal }
 
 (* Hash-based home placement: avalanche the tenant id so consecutive
    tenants spread instead of striping (tenant ids are dense). *)
@@ -129,10 +127,11 @@ let run cfg =
   Array.iter
     (Array.iteri (fun l g -> local_of.(g) <- l))
     locals;
+  (* Each shard gets a ring the size of [base.trace]. *)
   let tracing = Trace.enabled base.Sim.trace in
   let rings =
     Array.init shards (fun _ ->
-        if tracing then Trace.create_ring ~capacity:cfg.trace_capacity ()
+        if tracing then Trace.create_ring ~capacity:(Trace.capacity base.Sim.trace) ()
         else Trace.null)
   in
   let shard_cfg s =

@@ -27,14 +27,12 @@ type config = {
           [shards = 1]. *)
   shards : int;  (** number of domains / engine partitions, [>= 1] *)
   steal : bool;  (** enable the work-stealing rebalance pass *)
-  trace_capacity : int;
-      (** per-shard trace-ring capacity (only used when [base.trace] is a
-          live ring) *)
 }
+(** When [base.trace] is a live ring, each shard records into a ring of
+    the same capacity. *)
 
-val default_config :
-  ?steal:bool -> ?trace_capacity:int -> shards:int -> Sim.config -> config
-(** [steal] defaults to [true], [trace_capacity] to [65536]. *)
+val default_config : ?steal:bool -> shards:int -> Sim.config -> config
+(** [steal] defaults to [true]. *)
 
 val home_shard : shards:int -> int -> int
 (** Hash placement of a tenant id onto [0 .. shards-1] (avalanched, not

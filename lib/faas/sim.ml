@@ -31,7 +31,6 @@ type overload = {
   admission : Sfi_runtime.Runtime.admission_config option;
   breaker : Breaker.config option;
   degradation : bool;
-  hedged_retries : bool;
   request_deadline_ns : float option;
   crash_tenants : int list;
   runaway_tenants : int list;
@@ -45,7 +44,6 @@ let no_overload =
     admission = None;
     breaker = None;
     degradation = false;
-    hedged_retries = false;
     request_deadline_ns = None;
     crash_tenants = [];
     runaway_tenants = [];
@@ -70,6 +68,12 @@ type chaos_report = {
   cr_failed : int array;
 }
 
+(* Lifecycle work is billed in OS pages at [page_ns] each (see sim.mli). *)
+type lifecycle = Free | Cow_pages | Whole_heap
+
+let page_ns = 4937.5
+let os_switch_ns = 5000.0
+
 type config = {
   mode : mode;
   workload : Workloads.t;
@@ -77,12 +81,10 @@ type config = {
   duration_ns : float;
   io_mean_ns : float;
   epoch_ns : float;
-  os_switch_ns : float;
   faults : fault_model;
   seed : int64;
   churn : bool;
-  page_zero_ns : float;
-  legacy_lifecycle : bool;
+  lifecycle : lifecycle;
   trace : Trace.t;
   flight : Flight.t option;
       (* Fault flight recorder. When armed it taps the trace sink (or
@@ -107,8 +109,8 @@ type config = {
 }
 
 let default_config ?(mode = Colorguard) ?(workload = Workloads.Hash_balance)
-    ?(faults = no_faults) ?(churn = false) ?(page_zero_ns = 0.0)
-    ?(legacy_lifecycle = false) ?(overload = no_overload) ?engine ?(chaos = [])
+    ?(faults = no_faults) ?(churn = false) ?(lifecycle = Free)
+    ?(overload = no_overload) ?engine ?(chaos = [])
     ?on_perturbation ?(fair_scheduling = false) ?flight () =
   {
     mode;
@@ -117,12 +119,10 @@ let default_config ?(mode = Colorguard) ?(workload = Workloads.Hash_balance)
     duration_ns = 20.0e6;
     io_mean_ns = 5.0e6;
     epoch_ns = 1.0e6;
-    os_switch_ns = 5000.0;
     faults;
     seed = 0x5EEDL;
     churn;
-    page_zero_ns;
-    legacy_lifecycle;
+    lifecycle;
     trace = Trace.null;
     flight;
     overload;
@@ -372,12 +372,6 @@ let run cfg =
         })
   in
   if open_loop then Array.iter next_arrival requests;
-  (* Lifecycle cost model: instantiation / recycle work in OS pages, priced
-     at [page_zero_ns] each (0.0 = free, the historical behavior). The CoW
-     runtime pays the dirty pages its recycles actually dropped plus one
-     privatized vmctx page per instantiate; [legacy_lifecycle] re-prices
-     every instantiate as the pre-refactor runtime's O(min_pages) work — a
-     whole-heap madvise plus a full data-segment rewrite. *)
   let heap_os_pages =
     match m.Sfi_wasm.Ast.memory with
     | Some mem ->
@@ -389,8 +383,9 @@ let run cfg =
     let instantiates =
       mt.Runtime.m_instantiations_cold + mt.Runtime.m_instantiations_warm
     in
-    if cfg.legacy_lifecycle then instantiates * 2 * heap_os_pages
-    else mt.Runtime.m_pages_zeroed_on_recycle + instantiates
+    match cfg.lifecycle with
+    | Whole_heap -> instantiates * 2 * heap_os_pages
+    | Free | Cow_pages -> mt.Runtime.m_pages_zeroed_on_recycle + instantiates
   in
   (* Startup instantiation is warm-up, not serving time: snapshot after the
      request array is built so only churn-driven lifecycle work is billed. *)
@@ -460,11 +455,11 @@ let run cfg =
     clock := !clock +. delta;
     busy := !busy +. delta;
     engine_cycles.(proc) <- c;
-    if cfg.page_zero_ns > 0.0 then begin
+    if cfg.lifecycle <> Free then begin
       let w = lifecycle_pages proc in
       let dw = w - lifecycle_prev.(proc) in
       if dw > 0 then begin
-        let ns = float_of_int dw *. cfg.page_zero_ns in
+        let ns = float_of_int dw *. page_ns in
         clock := !clock +. ns;
         busy := !busy +. ns
       end;
@@ -716,17 +711,17 @@ let run cfg =
             freeze_flight "fault";
             if outcome = Failed Trapped && shared_process then
               crash_process r.proc ~except:id;
-            (* Hedged retry (until the ladder downgrades it at L2): resubmit
-               the failed request next epoch instead of after a full IO
+            (* The degradation ladder hedges failed requests below L2:
+               resubmitted next epoch instead of after a full IO
                round-trip. *)
-            let hedged = ov.hedged_retries && !ladder_level < 2 in
+            let hedged = ov.degradation && !ladder_level < 2 in
             rearm ~delay:(if hedged then epoch_delay else io_delay) r)
     | Collateral ->
-        (* The aborted request runs again once its process respawns. *)
         incr collateral;
         t_failed.(id) <- t_failed.(id) + 1;
         slo_record id ~good:false;
         Trace.request_end trace ~tenant:id ~ok:false;
+        (* The aborted request runs again once its process respawns. *)
         r.phase <- Admitted
     | Shed reason ->
         (* The client behind a shed ticket gives up and issues a fresh
@@ -966,7 +961,7 @@ let run cfg =
     while !found = None && !i < n_requests do
       let k = (!rr_cursor + !i) mod n_requests in
       let r = requests.(k) in
-      if r.proc = proc && r.ready_at <= !clock then begin
+      if r.ready_at <= !clock && r.proc = proc then begin
         found := Some r;
         if cfg.fair_scheduling then rr_cursor := (k + 1) mod n_requests
       end;
@@ -979,8 +974,8 @@ let run cfg =
   in
   let switch_to proc =
     incr context_switches;
-    clock := !clock +. cfg.os_switch_ns;
-    busy := !busy +. cfg.os_switch_ns;
+    clock := !clock +. os_switch_ns;
+    busy := !busy +. os_switch_ns;
     (* The incoming process finds the shared TLB polluted by whoever ran in
        between: model as a flush of its TLB state. *)
     Machine.flush_tlb (Runtime.machine engines.(proc));

@@ -59,14 +59,13 @@ type overload = {
           them, open breakers fast-fail requests without touching the
           pool, half-open probes close them again *)
   degradation : bool;
-      (** graceful-degradation ladder: under sustained shedding step down
-          deliberately — L1 tightens admission (pressure 0.5) and reserves
-          1/8 of the slots, L2 also stops hedging failed requests, L3 also
-          sheds low-priority arrivals; steps back up after calm windows.
+      (** graceful-degradation ladder. Below L2 it hedges failed
+          requests: they retry next epoch instead of after a full IO
+          round-trip. Under sustained shedding it steps down
+          deliberately — L1 tightens admission (pressure 0.5) and
+          reserves 1/8 of the slots, L2 also stops hedging, L3 also sheds
+          low-priority arrivals; it steps back up after calm windows.
           Each step emits a [degrade.step] trace event. *)
-  hedged_retries : bool;
-      (** retry failed requests next epoch instead of after a full IO
-          round-trip (downgraded by the ladder at L2) *)
   request_deadline_ns : float option;
       (** end-to-end deadline (arrival to completion): a completion past
           it counts as a [deadline_miss] and is excluded from goodput *)
@@ -113,6 +112,25 @@ type chaos_report = {
   cr_failed : int array;  (** per-tenant failure counts after application *)
 }
 
+type lifecycle =
+  | Free  (** instantiation and recycle work cost nothing (the default) *)
+  | Cow_pages
+      (** the CoW runtime's work: the dirty pages each recycle dropped,
+          plus one privatized vmctx page per instantiate *)
+  | Whole_heap
+      (** the pre-refactor runtime's O(min_pages) work: every
+          instantiate pays a whole-heap madvise plus a full data-segment
+          rewrite *)
+(** How instance lifecycle work is billed to the simulated core. A
+    billed OS page costs {!page_ns}. *)
+
+val page_ns : float
+(** 4937.5 ns per OS page: the paper's 79 us per 64 KiB instance (§7). *)
+
+val os_switch_ns : float
+(** 5 us: the direct + indirect cost of a Linux process switch, paid on
+    every multiprocess context switch. *)
+
 type config = {
   mode : mode;
   workload : Workloads.t;
@@ -120,22 +138,12 @@ type config = {
   duration_ns : float;  (** simulated wall-clock to run for *)
   io_mean_ns : float;  (** mean IO delay (paper: 5 ms) *)
   epoch_ns : float;  (** preemption epoch (paper: 1 ms) *)
-  os_switch_ns : float;  (** OS context-switch direct cost *)
   faults : fault_model;
   seed : int64;
   churn : bool;
       (** release every instance after its request completes, so each
           request runs on a fresh instantiation — the §6.4.3 FaaS pattern *)
-  page_zero_ns : float;
-      (** price of one OS page of instantiation/recycle work (zeroing or
-          copying); 0.0 (default) makes lifecycle work free, the historical
-          behavior. The paper's 79 us / 64 KiB instance (§7) gives
-          ~4937 ns/page. *)
-  legacy_lifecycle : bool;
-      (** bill every instantiate at the pre-refactor runtime's O(min_pages)
-          cost (whole-heap madvise + data-segment rewrite) instead of the
-          CoW runtime's O(dirty pages); only meaningful with
-          [page_zero_ns > 0] *)
+  lifecycle : lifecycle;  (** lifecycle cost model (default [Free]) *)
   trace : Sfi_trace.Trace.t;
       (** structured-event sink for per-tenant request spans
           ([Trace.null] by default, a no-op). The sim installs the simulated
@@ -189,8 +197,7 @@ val default_config :
   ?workload:Workloads.t ->
   ?faults:fault_model ->
   ?churn:bool ->
-  ?page_zero_ns:float ->
-  ?legacy_lifecycle:bool ->
+  ?lifecycle:lifecycle ->
   ?overload:overload ->
   ?engine:Sfi_machine.Machine.engine_kind ->
   ?chaos:chaos_event list ->
@@ -199,10 +206,9 @@ val default_config :
   ?flight:Sfi_trace.Flight.t ->
   unit ->
   config
-(** concurrency 128, duration 20 ms, IO mean 5 ms, epoch 1 ms, OS switch
-    5 us (direct + indirect cost of a Linux process switch), ColorGuard,
-    hash workload, no faults, no churn, free lifecycle work, no tracing,
-    legacy (run-to-completion) scheduling. *)
+(** concurrency 128, duration 20 ms, IO mean 5 ms, epoch 1 ms,
+    ColorGuard, hash workload, no faults, no churn, free lifecycle work,
+    no tracing, legacy (run-to-completion) scheduling. *)
 
 type tenant_stat = {
   t_id : int;  (** the request slot — one closed-loop tenant *)

@@ -30,8 +30,8 @@ let base_cfg ?(seed = 11L) ?(workload = Wk.Micro_kv) ?(engine = Machine.Threaded
 
 (* Run the unsharded sim on this domain with a fresh ring and a fresh
    DLS scope, and digest everything the identity contract covers. *)
-let unsharded_fingerprints cfg ~trace_capacity =
-  let ring = Trace.create_ring ~capacity:trace_capacity () in
+let unsharded_fingerprints cfg =
+  let ring = Trace.create_ring ~capacity:4096 () in
   Runtime.reset_domain_metrics ();
   let r = Sim.run { cfg with Sim.trace = ring } in
   let m = Runtime.domain_metrics () in
@@ -39,11 +39,11 @@ let unsharded_fingerprints cfg ~trace_capacity =
     Trace.fingerprint ring,
     Shard.metrics_fingerprint m )
 
-let sharded_fingerprints cfg ~shards ~trace_capacity =
+let sharded_fingerprints cfg ~shards =
   let rep =
     Shard.run
-      (Shard.default_config ~trace_capacity ~shards
-         { cfg with Sim.trace = Trace.create_ring ~capacity:1 () })
+      (Shard.default_config ~shards
+         { cfg with Sim.trace = Trace.create_ring ~capacity:4096 () })
   in
   ( Shard.result_fingerprint rep.Shard.r_result,
     (match rep.Shard.r_trace with Some t -> Trace.fingerprint t | None -> 0L),
@@ -62,8 +62,8 @@ let test_one_shard_identity () =
   List.iter
     (fun open_loop ->
       let cfg = { (base_cfg ~open_loop ()) with Sim.overload = ov; faults } in
-      let r1, t1, m1 = unsharded_fingerprints cfg ~trace_capacity:4096 in
-      let r2, t2, m2 = sharded_fingerprints cfg ~shards:1 ~trace_capacity:4096 in
+      let r1, t1, m1 = unsharded_fingerprints cfg in
+      let r2, t2, m2 = sharded_fingerprints cfg ~shards:1 in
       let tag = if open_loop then "open loop" else "closed loop" in
       Alcotest.(check int64) (tag ^ ": result bit-identical") r1 r2;
       Alcotest.(check int64) (tag ^ ": trace fingerprint identical") t1 t2;
@@ -81,15 +81,15 @@ let prop_one_shard_bit_identical =
           ~seed:(Int64.of_int (seed + 1))
           ~engine ~open_loop ~concurrency:12 ()
       in
-      let r1, t1, m1 = unsharded_fingerprints cfg ~trace_capacity:4096 in
-      let r2, t2, m2 = sharded_fingerprints cfg ~shards:1 ~trace_capacity:4096 in
+      let r1, t1, m1 = unsharded_fingerprints cfg in
+      let r2, t2, m2 = sharded_fingerprints cfg ~shards:1 in
       r1 = r2 && t1 = t2 && m1 = m2)
 
 let test_ksharded_deterministic () =
   List.iter
     (fun engine ->
       let cfg = base_cfg ~engine ~open_loop:true ~concurrency:32 ~seed:7L () in
-      let run c = sharded_fingerprints c ~shards:4 ~trace_capacity:4096 in
+      let run c = sharded_fingerprints c ~shards:4 in
       let r1, t1, m1 = run cfg in
       let r2, t2, m2 = run cfg in
       Alcotest.(check int64) "result deterministic across repeats" r1 r2;

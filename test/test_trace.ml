@@ -377,7 +377,6 @@ let test_sim_tenant_breakdown () =
       admission = Some Runtime.default_admission;
       breaker = Some Sfi_faas.Breaker.default_config;
       degradation = true;
-      hedged_retries = true;
       crash_tenants = [ 0 ];
       runaway_tenants = [ 1 ];
       low_priority = (fun id -> id mod 4 = 3);
