@@ -127,7 +127,6 @@ let run cfg =
   Array.iter
     (Array.iteri (fun l g -> local_of.(g) <- l))
     locals;
-  (* Each shard gets a ring the size of [base.trace]. *)
   let tracing = Trace.enabled base.Sim.trace in
   let rings =
     Array.init shards (fun _ ->

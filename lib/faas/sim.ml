@@ -103,8 +103,8 @@ type config = {
          that tenant's scheduled arrival times — the trace-shaped load
          the sharded serving layer generates. A tenant whose previous
          request is still in service when the next arrival fires serves
-         it late (e2e latency then includes the queueing delay); shed or
-         failed requests are dropped and the tenant moves on to its next
+         it late (e2e latency then includes the queueing delay); every
+         outcome ends the arrival and the tenant moves on to its next
          scheduled arrival. *)
 }
 
@@ -721,8 +721,14 @@ let run cfg =
         t_failed.(id) <- t_failed.(id) + 1;
         slo_record id ~good:false;
         Trace.request_end trace ~tenant:id ~ok:false;
-        (* The aborted request runs again once its process respawns. *)
-        r.phase <- Admitted
+        (* Closed loop: the aborted request runs again once its process
+           respawns. Open loop: the arrival is dropped. *)
+        if open_loop then begin
+          r.phase <- Idle;
+          r.seq <- r.seq + 1;
+          next_arrival r
+        end
+        else r.phase <- Admitted
     | Shed reason ->
         (* The client behind a shed ticket gives up and issues a fresh
            request later; a half-open breaker whose probe was shed
@@ -754,24 +760,27 @@ let run cfg =
         rearm r
     | Fast_failed ->
         (* Not a serving failure — the request never entered service — so
-           it is counted apart from [failed]. It waits for the breaker's
-           next probe. *)
+           it is counted apart from [failed]. An open-loop arrival is
+           dropped; a closed-loop client waits for the breaker's next
+           probe. *)
         incr breaker_fast_fails;
-        r.ready_at <-
-          (match breakers with
-          | Some arr when Breaker.state arr.(id) = Breaker.Open ->
-              Float.max (Breaker.retry_at arr.(id)) (!clock +. cfg.epoch_ns)
-          | _ -> !clock +. cfg.epoch_ns)
+        if open_loop then next_arrival r
+        else
+          r.ready_at <-
+            (match breakers with
+            | Some arr when Breaker.state arr.(id) = Breaker.Open ->
+                Float.max (Breaker.retry_at arr.(id)) (!clock +. cfg.epoch_ns)
+            | _ -> !clock +. cfg.epoch_ns)
   (* Blast radius of a process crash: every co-resident instance dies,
-     its in-flight request is aborted, and every co-resident slot waits
-     out the respawn. *)
+     its in-flight request is aborted, and no co-resident slot is ready
+     before the respawn ends. *)
   and crash_process proc ~except =
     Array.iter
       (fun r2 ->
         if r2.proc = proc && r2.id <> except then begin
           (match r2.phase with Running _ -> settle r2 Collateral | _ -> ());
           kill_instance r2;
-          r2.ready_at <- !clock +. f.respawn_ns
+          r2.ready_at <- Float.max r2.ready_at (!clock +. f.respawn_ns)
         end)
       requests;
     clock := !clock +. f.respawn_ns;

@@ -185,9 +185,9 @@ type config = {
           times (see {!Workloads.synthesize}). A tenant's requests are
           served in order with at most one in flight: an arrival that
           fires while the previous request is still being served waits
-          (its e2e latency includes the queueing delay), and a shed or
-          failed request is dropped — the tenant moves on to its next
-          scheduled arrival. The run still ends at [duration_ns]. This is
+          (its e2e latency includes the queueing delay), and every
+          outcome ends its arrival (see {!section-lifecycle}). The run
+          still ends at [duration_ns]. This is
           the trace-shaped load the sharded serving layer
           ({!Sfi_faas.Shard}) drives each shard with. *)
 }
@@ -263,7 +263,8 @@ type result = {
   breaker_opens : int;  (** breaker trips, summed over tenants *)
   breaker_fast_fails : int;
       (** requests refused by an open breaker without entering service
-          (not counted in [failed]) *)
+          (not counted in [failed]); in the open loop each one drops its
+          arrival *)
   breakers_open_at_end : int;  (** breakers not Closed when the run ended *)
   degrade_steps : int;  (** ladder transitions (up or down) *)
   max_degrade_level : int;  (** deepest ladder level reached (0-3) *)
@@ -296,6 +297,34 @@ type result = {
       (** per-tenant breakdown, indexed by request slot — the [sfi top]
           table *)
 }
+
+(** {1:lifecycle Request lifecycle}
+
+    Each tenant slot serves one logical request at a time. The request
+    moves through four phases: {e idle} (arrived, or the client is
+    thinking; the breaker has not been asked yet), {e admitted} (the
+    breaker let it through and it waits for an instance),
+    {e parked} (its ticket waits in the admission controller's queue)
+    and {e running} (an activation is in flight, preempted every epoch).
+
+    Every request leaves service through one outcome. An outcome that
+    ends the arrival moves the tenant to its next scheduled arrival in
+    the open loop; in the closed loop the client thinks and then issues
+    a fresh request.
+
+    - Completion, failure (trap, watchdog, dead instance), chaos kill,
+      admission shed and priority shed end the arrival in both loops.
+    - A breaker fast-fail ends the arrival in the open loop. In the
+      closed loop the client asks again at the breaker's next probe.
+    - A collateral abort (a co-resident's trap killed the process) ends
+      the arrival in the open loop. In the closed loop the same request
+      runs again after the respawn.
+
+    No slot of a crashed process becomes ready before the respawn ends,
+    and a respawn never makes a slot ready earlier than it was due. So a
+    drained open-loop run conserves
+    requests: offered arrivals = [completed + failed + collateral_aborts]
+    + all sheds + [breaker_fast_fails]. *)
 
 val run : config -> result
 (** Always runs to completion: sandbox misbehavior (traps, runaway loops,

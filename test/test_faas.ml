@@ -128,6 +128,60 @@ let test_fault_free_unchanged () =
   Alcotest.(check bool) "goodput = throughput" true
     (Float.abs (r.Sim.goodput_rps -. r.Sim.throughput_rps) < 1e-9)
 
+(* Request conservation on drained open-loop runs: every offered arrival
+   ends in exactly one terminal outcome, and every end-to-end sample is
+   positive. A breaker fast-fail and a collateral abort each end their
+   arrival; a process respawn never readies a tenant with no pending
+   arrival. *)
+let test_open_loop_conservation () =
+  let tenants = 8 in
+  let run ~mode ~trap_rate ?breaker () =
+    let arrivals = Wk.synthesize ~seed:3L ~tenants ~duration_ns:4e6 ~rps:40_000.0 () in
+    let cfg =
+      Sim.default_config ~mode ~workload:Wk.Hash_balance
+        ~faults:{ Sim.no_faults with Sim.trap_rate; respawn_ns = 50_000.0 }
+        ~overload:{ Sim.no_overload with Sim.breaker }
+        ()
+    in
+    let r =
+      Sim.run
+        {
+          cfg with
+          Sim.concurrency = tenants;
+          duration_ns = 40e6;
+          epoch_ns = 5000.0;
+          arrivals = Some arrivals;
+        }
+    in
+    (Array.length arrivals, r)
+  in
+  let check tag (offered, (r : Sim.result)) =
+    Alcotest.(check int)
+      (tag ^ ": offered = completed + failed + collateral + shed + fast-failed")
+      offered
+      (r.Sim.completed + r.Sim.failed + r.Sim.collateral_aborts + r.Sim.shed_sojourn
+     + r.Sim.shed_rate_limited + r.Sim.shed_queue_full + r.Sim.shed_priority
+     + r.Sim.breaker_fast_fails);
+    Array.iter
+      (fun t ->
+        if Sfi_util.Hist.count t.Sim.t_e2e_hist > 0 then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: tenant %d e2e samples positive" tag t.Sim.t_id)
+            true
+            (Sfi_util.Hist.percentile t.Sim.t_e2e_hist 0.0 > 0.0))
+      r.Sim.tenants
+  in
+  let cg =
+    run ~mode:Sim.Colorguard ~trap_rate:0.6 ~breaker:Sfi_faas.Breaker.default_config ()
+  in
+  Alcotest.(check bool) "colorguard: breakers fast-failed" true
+    ((snd cg).Sim.breaker_fast_fails > 0);
+  check "colorguard + breakers" cg;
+  let mp = run ~mode:(Sim.Multiprocess 2) ~trap_rate:0.2 () in
+  Alcotest.(check bool) "multiprocess: collateral aborts" true
+    ((snd mp).Sim.collateral_aborts > 0);
+  check "multiprocess" mp
+
 let tests =
   [
     Harness.case "workload modules run" test_workload_modules_run;
@@ -140,4 +194,5 @@ let tests =
     Harness.case "config validation" test_config_validation;
     Alcotest.test_case "faulty sim contained" `Slow test_faulty_sim_contained;
     Alcotest.test_case "fault-free behavior unchanged" `Slow test_fault_free_unchanged;
+    Alcotest.test_case "open-loop request conservation" `Slow test_open_loop_conservation;
   ]
