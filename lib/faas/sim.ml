@@ -192,13 +192,14 @@ type result = {
    admission controller's queue. [Running]: an activation is in flight. *)
 type phase = Idle | Admitted | Parked | Running of Runtime.activation
 
-(* How a request left service; [settle] does each one's bookkeeping. *)
-type failure = Trapped | Watchdog | Died
+(* Why an in-flight request failed: its handler trapped, the watchdog
+   stopped it, its instance died under it, or chaos killed it. *)
+type failure = Trapped | Watchdog | Died | Killed
 
+(* How a request left service; [settle] does each one's bookkeeping. *)
 type outcome =
   | Completed of { value : int64; slice_at : float }
   | Failed of failure
-  | Chaos_killed
   | Collateral
   | Shed of Runtime.shed_reason
   | Priority_shed
@@ -694,8 +695,8 @@ let run cfg =
         r.phase <- Idle;
         r.seq <- r.seq + 1;
         rearm ~from:slice_at r
-    | Failed _ | Chaos_killed -> (
-        if outcome = Failed Watchdog then incr watchdog_kills;
+    | Failed cause -> (
+        if cause = Watchdog then incr watchdog_kills;
         incr failed;
         t_failed.(id) <- t_failed.(id) + 1;
         slo_record id ~good:false;
@@ -703,14 +704,13 @@ let run cfg =
         with_breaker id (Breaker.on_failure ~now:!clock);
         r.phase <- Idle;
         r.seq <- r.seq + 1;
-        match outcome with
-        | Chaos_killed ->
+        match cause with
+        | Killed ->
             kill_instance r;
             rearm ~delay:chaos_delay r
-        | _ ->
+        | Trapped | Watchdog | Died ->
             freeze_flight "fault";
-            if outcome = Failed Trapped && shared_process then
-              crash_process r.proc ~except:id;
+            if cause = Trapped && shared_process then crash_process r.proc ~except:id;
             (* The degradation ladder hedges failed requests below L2:
                resubmitted next epoch instead of after a full IO
                round-trip. *)
@@ -912,7 +912,7 @@ let run cfg =
             let r = List.nth l (Prng.int chaos_rng (List.length l)) in
             victim := r.id;
             incr chaos_kills;
-            settle r Chaos_killed)
+            settle r (Failed Killed))
     | Chaos_latency { factor; window_ns } ->
         latency_factor := factor;
         latency_until := !clock +. window_ns
