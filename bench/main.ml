@@ -8,12 +8,18 @@
    and the buffers are merged in registry order afterwards, so the output
    is byte-for-byte deterministic regardless of the domain count.
 
+   Every figure and every JSON value is simulated, so a run is a pure
+   function of the code: the harness reads no host clock except to print
+   its closing summary. Host speed is perfbench/'s measurement.
+
    Usage:
      dune exec bench/main.exe                # run everything
      dune exec bench/main.exe -- fig3 fig6   # run selected experiments
-     dune exec bench/main.exe -- --quick     # CI-sized subset + engine check
-     dune exec bench/main.exe -- --json out.json   # per-experiment wall-clock
-                                                   # and instructions/sec
+     dune exec bench/main.exe -- --quick     # CI-sized subset
+     dune exec bench/main.exe -- --json out.json   # per-experiment simulated
+                                                   # instructions and metrics
+     dune exec bench/main.exe -- --check-baseline BENCH_perf.json
+                                             # every value must match exactly
      dune exec bench/main.exe -- --jobs 4    # domain count (default: all cores)
      dune exec bench/main.exe -- --serial    # single-domain, unbuffered output
      dune exec bench/main.exe -- --list      # list experiment ids
@@ -66,6 +72,15 @@ let metrics_key : (string * float) list ref Domain.DLS.key =
 let metric name v =
   let r = Domain.DLS.get metrics_key in
   r := (name, v) :: !r
+
+(* Simulated instructions retired on domains the experiment spawned (the
+   [scale] shards): [Machine.retired_instructions] only sees this domain,
+   so such an experiment credits the harvested counts here. *)
+let spawned_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let credit_instructions n =
+  let r = Domain.DLS.get spawned_key in
+  r := !r + n
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: SPEC CPU 2006 on Wasm2c, normalized runtime.              *)
@@ -729,77 +744,57 @@ let lifecycle () =
     Runtime.create_engine (Codegen.compile (Codegen.default_config ()) (mk_module pages))
   in
   (* Warm recycle+instantiate, dirtying exactly [dirty] OS pages of heap
-     per cycle: the recycle must pay for those pages and nothing else.
-     Timed in batches, reporting the fastest batch — the usual defense
-     against GC pauses and scheduler noise in in-process wall timing. *)
-  let warm_cycle engine ~dirty ~reps =
-    let batches = 8 in
-    let per_batch = max 1 (reps / batches) in
+     per cycle: the recycle must zero those pages and nothing else.
+     Returns the mean pages zeroed per recycle. *)
+  let pages_zeroed engine ~dirty =
+    let reps = 400 in
     let inst = ref (Runtime.instantiate engine) in
     let z0 = (Runtime.metrics engine).Runtime.m_pages_zeroed_on_recycle in
-    let best = ref infinity in
-    for _ = 1 to batches do
-      let batch = ref 0.0 in
-      for _ = 1 to per_batch do
-        for p = 0 to dirty - 1 do
-          Runtime.write_memory !inst ~addr:(p * os_page) "\001"
-        done;
-        let t0 = Unix.gettimeofday () in
-        Runtime.release !inst;
-        inst := Runtime.instantiate engine;
-        batch := !batch +. (Unix.gettimeofday () -. t0)
+    for _ = 1 to reps do
+      for p = 0 to dirty - 1 do
+        Runtime.write_memory !inst ~addr:(p * os_page) "\001"
       done;
-      if !batch < !best then best := !batch
+      Runtime.release !inst;
+      inst := Runtime.instantiate engine
     done;
     let z1 = (Runtime.metrics engine).Runtime.m_pages_zeroed_on_recycle in
     Runtime.release !inst;
-    ( !best *. 1e9 /. float_of_int per_batch,
-      float_of_int (z1 - z0) /. float_of_int (batches * per_batch) )
+    float_of_int (z1 - z0) /. float_of_int reps
   in
-  let reps = 400 in
-  (* (a) Recycle cost scales with the dirty fraction, on a fixed 4 MiB
+  (* (a) Recycle work scales with the dirty fraction, on a fixed 4 MiB
      heap (1024 OS pages). *)
-  let heap_pages = 64 in
-  let engine = fresh_engine heap_pages in
-  let t = Table.create ~headers:[ "dirty OS pages"; "warm cycle ns"; "pages zeroed/recycle" ] in
+  let engine = fresh_engine 64 in
+  let t = Table.create ~headers:[ "dirty OS pages"; "pages zeroed/recycle" ] in
   List.iter
     (fun dirty ->
-      let ns, zeroed = warm_cycle engine ~dirty ~reps in
-      metric (Printf.sprintf "warm_cycle_ns_dirty_%d" dirty) ns;
-      Table.add_row t
-        [ string_of_int dirty; Printf.sprintf "%.0f" ns; Printf.sprintf "%.1f" zeroed ])
+      let zeroed = pages_zeroed engine ~dirty in
+      metric (Printf.sprintf "recycle_pages_zeroed_dirty_%d" dirty) zeroed;
+      Table.add_row t [ string_of_int dirty; Printf.sprintf "%.1f" zeroed ])
     [ 0; 4; 16; 64; 256 ];
   print_table t;
   (* (b) ... and not with the heap size: same dirty footprint on a 128 KiB
      vs an 8 MiB heap. The pre-refactor runtime madvised the whole heap. *)
   let dirty = 16 in
-  let small, _ = warm_cycle (fresh_engine 2) ~dirty ~reps in
-  let large, _ = warm_cycle (fresh_engine 128) ~dirty ~reps in
-  metric "warm_cycle_heap_ratio" (large /. small);
+  let small = pages_zeroed (fresh_engine 2) ~dirty in
+  let large = pages_zeroed (fresh_engine 128) ~dirty in
+  metric "recycle_pages_zeroed_heap_2_pages" small;
+  metric "recycle_pages_zeroed_heap_128_pages" large;
+  let heap_os_pages wasm_pages = wasm_pages * Units.wasm_page_size / os_page in
   note
-    "Heap-size independence: %d dirty pages cost %.0f ns to recycle on a 128 KiB heap, %.0f \
-     ns on an 8 MiB heap (ratio %.2fx; O(min_pages) recycling would be 64x)."
-    dirty small large (large /. small);
-  (* (c) Cold vs warm instantiation rate. *)
-  let rate_engine = fresh_engine 2 in
+    "Heap-size independence: %d dirty pages zero %.1f pages per recycle on a 128 KiB heap, \
+     %.1f on an 8 MiB heap (O(min_pages) recycling would zero %d vs %d)."
+    dirty small large (heap_os_pages 2) (heap_os_pages 128);
+  (* (c) Both instantiation paths: cold (map host block + attach CoW
+     backing) while every slot is live, then warm (recycled slot). *)
+  let inst_engine = fresh_engine 2 in
   let n = 512 in
-  let t0 = Unix.gettimeofday () in
-  let insts = Array.init n (fun _ -> Runtime.instantiate rate_engine) in
-  let cold_s = Unix.gettimeofday () -. t0 in
-  Array.iter Runtime.release insts;
-  let t0 = Unix.gettimeofday () in
+  Array.iter Runtime.release (Array.init n (fun _ -> Runtime.instantiate inst_engine));
   for _ = 1 to n do
-    Runtime.release (Runtime.instantiate rate_engine)
+    Runtime.release (Runtime.instantiate inst_engine)
   done;
-  let warm_s = Unix.gettimeofday () -. t0 in
-  let cold_rate = float_of_int n /. cold_s and warm_rate = float_of_int n /. warm_s in
-  metric "cold_instantiations_per_s" cold_rate;
-  metric "warm_instantiations_per_s" warm_rate;
-  let m = Runtime.metrics rate_engine in
-  note
-    "Instantiation rate: %.0f/s cold (map host block + attach CoW backing), %.0f/s warm \
-     (recycled slot; %d cold + %d warm performed)."
-    cold_rate warm_rate m.Runtime.m_instantiations_cold m.Runtime.m_instantiations_warm;
+  let m = Runtime.metrics inst_engine in
+  note "Instantiations: %d cold (map host block + attach CoW backing), %d warm (recycled slot)."
+    m.Runtime.m_instantiations_cold m.Runtime.m_instantiations_warm;
   (* (d) Transition classes: the same import registered Pure / Readonly /
      Full, on a ColorGuard-striped pool (so Full pays two wrpkru per call
      and the cheap classes elide them). *)
@@ -1012,112 +1007,6 @@ let ablations () =
   | Error m -> note "chain planning failed: %s" m)
 
 (* ------------------------------------------------------------------ *)
-(* Engine: threaded-code engine vs the reference interpreter.          *)
-(* ------------------------------------------------------------------ *)
-
-let engine_compare () =
-  section
-    "Engine - reference step interpreter vs threaded code vs superblock tiers (host-side \
-     throughput; simulated counters must agree bit-for-bit across all four)";
-  let t =
-    Table.create
-      ~headers:
-        [ "kernel"; "engine"; "host ms"; "sim instrs"; "host Minstr/s"; "sb%"; "counters" ]
-  in
-  let check (k : Kernel.t) =
-    let timed engine =
-      let t0 = Unix.gettimeofday () in
-      let m = Kernel.run ~engine ~strategy:Strategy.segue k in
-      (m, Unix.gettimeofday () -. t0)
-    in
-    let rm, rs = timed Machine.Reference in
-    let tm, ts = timed Machine.Threaded in
-    let t2m, t2s = timed Machine.Tier2 in
-    let am, as_ = timed Machine.Adaptive in
-    let agrees (a : Kernel.measurement) (b : Kernel.measurement) =
-      a.Kernel.result = b.Kernel.result
-      && a.Kernel.cycles = b.Kernel.cycles
-      && a.Kernel.instructions = b.Kernel.instructions
-      && a.Kernel.dtlb_misses = b.Kernel.dtlb_misses
-      && a.Kernel.dcache_misses = b.Kernel.dcache_misses
-    in
-    let agree = agrees rm tm && agrees rm t2m && agrees rm am in
-    let row name (m : Kernel.measurement) s =
-      let sb_pct =
-        100.0
-        *. float_of_int m.Kernel.tier.Machine.superblock_instructions
-        /. float_of_int (max 1 m.Kernel.instructions)
-      in
-      Table.add_row t
-        [
-          k.Kernel.name; name;
-          Printf.sprintf "%.1f" (s *. 1e3);
-          string_of_int m.Kernel.instructions;
-          Printf.sprintf "%.1f" (float_of_int m.Kernel.instructions /. s /. 1e6);
-          Printf.sprintf "%.0f" sb_pct;
-          (if agree then "agree" else "DIVERGED");
-        ]
-    in
-    row "reference" rm rs;
-    row "threaded" tm ts;
-    row "tier2" t2m t2s;
-    row "adaptive" am as_;
-    if not agree then failwith (k.Kernel.name ^ ": engines diverged");
-    (rs, ts, t2s, as_)
-  in
-  let quads = List.map check [ Sfi_workloads.Polybench.gemm; Sfi_workloads.Polybench.atax ] in
-  print_table t;
-  let tot f = List.fold_left (fun a q -> a +. f q) 0.0 quads in
-  let rs = tot (fun (a, _, _, _) -> a)
-  and ts = tot (fun (_, b, _, _) -> b)
-  and t2s = tot (fun (_, _, c, _) -> c)
-  and as_ = tot (fun (_, _, _, d) -> d) in
-  metric "tier2_speedup_vs_threaded" (ts /. t2s);
-  metric "adaptive_speedup_vs_threaded" (ts /. as_);
-  note
-    "Engine ablation on this subset (identical simulated counters on every kernel): threaded \
-     %.2fx reference; tier2 %.2fx threaded; adaptive %.2fx threaded (the same engine as \
-     tier2: every eligible block promoted at load)."
-    (rs /. ts) (ts /. t2s) (ts /. as_);
-  (* Tracing ablation: the same kernel with the default (no sink), an
-     explicit null sink, and a live ring sink. The null sink must be free —
-     every emission site is one load-and-branch — and the ring sink must
-     stay under a few percent. Best-of-batches wall timing, as above. *)
-  let ablate = Sfi_workloads.Polybench.atax in
-  let one ?trace () =
-    (match trace with Some sink -> Trace.clear sink | None -> ());
-    let t0 = Unix.gettimeofday () in
-    ignore (Kernel.run ?trace ~engine:Machine.Threaded ~strategy:Strategy.segue ablate);
-    Unix.gettimeofday () -. t0
-  in
-  ignore (one ()) (* warm the code and the kernel's lazy module *);
-  let ring = Trace.create_ring () in
-  (* Interleave the three configurations within each repetition and take
-     the per-configuration minimum: drift across the run (GC heap state,
-     neighbours on a shared machine) then biases all three alike instead
-     of whichever block ran last. *)
-  let base_s = ref infinity and null_s = ref infinity and ring_s = ref infinity in
-  for _ = 1 to 7 do
-    let m r v = if v < !r then r := v in
-    m base_s (one ());
-    m null_s (one ~trace:Trace.null ());
-    m ring_s (one ~trace:ring ())
-  done;
-  let base_s = !base_s and null_s = !null_s and ring_s = !ring_s in
-  let pct x = (x -. base_s) /. base_s *. 100.0 in
-  metric "trace_null_overhead_pct" (pct null_s);
-  metric "trace_ring_overhead_pct" (pct ring_s);
-  note
-    "Tracing ablation (atax, best of 7): no sink %.1f ms, null sink %.1f ms (%+.1f%%), ring \
-     sink %.1f ms (%+.1f%%, %d events). Null must be free; the ring budget is <5%%."
-    (base_s *. 1e3) (null_s *. 1e3) (pct null_s) (ring_s *. 1e3) (pct ring_s)
-    (Trace.length ring);
-  (* Wall-clock ablations on shared CI machines are noisy; only a
-     pathological regression fails the experiment. *)
-  if pct ring_s > 25.0 then
-    failwith (Printf.sprintf "engine: ring-sink tracing overhead %.1f%% > 25%%" (pct ring_s))
-
-(* ------------------------------------------------------------------ *)
 (* Differential fuzz gate.                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1125,17 +1014,14 @@ let fuzz () =
   section
     "Fuzz - seeded differential corpus: reference interpreter vs all six SFI strategies on \
      both engines (sanitizer armed), plus the LFI triple on tame programs";
-  let t0 = Unix.gettimeofday () in
   let report = Sfi_fuzz.Fuzz.run_corpus ~seed:0xC0FFEEL ~count:150 () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let t = Table.create ~headers:[ "programs"; "executions"; "lfi"; "interp traps"; "wall s" ] in
+  let t = Table.create ~headers:[ "programs"; "executions"; "lfi"; "interp traps" ] in
   Table.add_row t
     [
       string_of_int report.Sfi_fuzz.Fuzz.r_programs;
       string_of_int report.Sfi_fuzz.Fuzz.r_executions;
       string_of_int report.Sfi_fuzz.Fuzz.r_lfi_programs;
       string_of_int report.Sfi_fuzz.Fuzz.r_interp_traps;
-      Printf.sprintf "%.2f" wall;
     ];
   print_table t;
   (match report.Sfi_fuzz.Fuzz.r_divergences with
@@ -1189,7 +1075,11 @@ let scale () =
       arrivals = Some arrivals;
     }
   in
-  let run k = Shard.run (Shard.default_config ~shards:k base) in
+  let run k =
+    let rep = Shard.run (Shard.default_config ~shards:k base) in
+    credit_instructions rep.Shard.r_instructions;
+    rep
+  in
   let t =
     Table.create
       ~headers:[ "shards"; "steals"; "completed"; "goodput req/s"; "speedup"; "p99 us" ]
@@ -1239,6 +1129,7 @@ let scale () =
     Shard.result_fingerprint a.Shard.r_result <> Shard.result_fingerprint b.Shard.r_result
     || Shard.metrics_fingerprint a.Shard.r_metrics
        <> Shard.metrics_fingerprint b.Shard.r_metrics
+    || a.Shard.r_instructions <> b.Shard.r_instructions
   then failwith "scale: repeat at fixed seed diverged";
   note "Repeat at the same seed: bit-identical (result + runtime counters)."
 
@@ -1265,15 +1156,13 @@ let experiments =
     ("lifecycle", lifecycle);
     ("mte", mte);
     ("ablations", ablations);
-    ("engine", engine_compare);
     ("fuzz", fuzz);
     ("scale", scale);
   ]
 
-(* The CI tier: cheap experiments only, plus the engine cross-check and
-   the differential fuzz gate. *)
+(* The CI tier: cheap experiments only, plus the differential fuzz gate. *)
 let quick_ids =
-  [ "table2"; "table1"; "scaling"; "lifecycle"; "overload"; "mte"; "engine"; "fuzz"; "scale" ]
+  [ "table2"; "table1"; "scaling"; "lifecycle"; "overload"; "mte"; "fuzz"; "scale" ]
 
 (* Kernel modules are built lazily and shared between experiments;
    force them all before spawning domains (concurrent Lazy.force of the
@@ -1295,7 +1184,7 @@ let preforce_kernels () =
 type outcome = {
   o_name : string;
   o_output : string;
-  o_wall_s : float;
+  o_wall_s : float;  (** host seconds, for the printed summary only *)
   o_instructions : int;  (** simulated instructions retired by this experiment *)
   o_failed : bool;
   o_metrics : (string * float) list;  (** named scalars published via [metric] *)
@@ -1305,6 +1194,7 @@ let run_one (name, f) =
   let buf = Buffer.create 4096 in
   Domain.DLS.get out_key := Some buf;
   Domain.DLS.get metrics_key := [];
+  Domain.DLS.get spawned_key := 0;
   Machine.reset_retired_instructions ();
   Runtime.reset_domain_metrics ();
   let t0 = Unix.gettimeofday () in
@@ -1317,7 +1207,7 @@ let run_one (name, f) =
       true
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let instructions = Machine.retired_instructions () in
+  let instructions = Machine.retired_instructions () + !(Domain.DLS.get spawned_key) in
   (* Every experiment that exercised a runtime engine gets the domain-local
      aggregate of the runtime counters attached to its "metrics" object —
      engines created and dropped inside the experiment included. The
@@ -1389,54 +1279,30 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Full serial run of the pre-threaded-code harness (step interpreter) on
-   the same container, measured before this engine landed. *)
-let baseline_step_serial_total_wall_s = 309.9
+(* Metric values are written, and compared by the gate, at 3 decimals. *)
+let fmt_value = Printf.sprintf "%.3f"
 
-let write_json file outcomes ~jobs ~total_wall_s =
+let write_json file outcomes ~jobs =
   let oc = open_out file in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"harness\": \"bench/main.exe\",\n";
   p "  \"engine\": \"adaptive\",\n";
   p "  \"jobs\": %d,\n" jobs;
-  p "  \"total_wall_s\": %.3f,\n" total_wall_s;
-  p "  \"baseline_step_serial_total_wall_s\": %.1f,\n" baseline_step_serial_total_wall_s;
-  p "  \"speedup_vs_baseline\": %.2f,\n" (baseline_step_serial_total_wall_s /. total_wall_s);
-  (* Aggregate simulated throughput over the experiments that actually
-     execute instructions; the layout-only ones (table1, table2, scaling,
-     mte) would otherwise drag the average toward zero. *)
-  let agg_instr, agg_wall =
-    List.fold_left
-      (fun (i, w) o ->
-        if o.o_instructions > 0 then (i + o.o_instructions, w +. o.o_wall_s) else (i, w))
-      (0, 0.0) outcomes
-  in
-  p "  \"aggregate_instructions_per_sec\": %s,\n"
-    (if agg_instr > 0 && agg_wall > 0.0 then
-       Printf.sprintf "%.0f" (float_of_int agg_instr /. agg_wall)
-     else "null");
   p "  \"experiments\": [\n";
   List.iteri
     (fun i o ->
-      (* Experiments that execute no simulated instructions report null
-         rather than a misleading 0 instructions/sec. *)
-      let ips =
-        if o.o_instructions > 0 && o.o_wall_s > 0.0 then
-          Printf.sprintf "%.0f" (float_of_int o.o_instructions /. o.o_wall_s)
-        else "null"
-      in
       let metrics =
         match o.o_metrics with
         | [] -> ""
         | ms ->
             let fields =
-              List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.3f" (json_escape k) v) ms
+              List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (fmt_value v)) ms
             in
             Printf.sprintf ", \"metrics\": { %s }" (String.concat ", " fields)
       in
-      p "    { \"name\": \"%s\", \"wall_s\": %.3f, \"instructions\": %d, \"instructions_per_sec\": %s, \"ok\": %b%s }%s\n"
-        (json_escape o.o_name) o.o_wall_s o.o_instructions ips (not o.o_failed) metrics
+      p "    { \"name\": \"%s\", \"instructions\": %d, \"ok\": %b%s }%s\n"
+        (json_escape o.o_name) o.o_instructions (not o.o_failed) metrics
         (if i = List.length outcomes - 1 then "" else ","))
     outcomes;
   p "  ]\n}\n";
@@ -1445,40 +1311,22 @@ let write_json file outcomes ~jobs ~total_wall_s =
 
 (* --- perf-regression gate (--check-baseline) -------------------------- *)
 
-(* Tolerance class per baseline metric. Deterministic simulation counters
-   must reproduce exactly — the sim is a pure function of its seed, so any
-   drift is a real behavior change, not noise. Host wall-clock timings
-   (cycle/hostcall ns, instantiation rates, speedups, trace overheads) are
-   skipped: they measure the CI machine, not the code. Everything else —
-   simulated-time rates and ratios — gets a relative band. *)
-type tolerance = Exact | Rel of float | Skip
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let tolerance_of name =
-  let prefixed p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  if
-    prefixed "rt_" || prefixed "scale_completed" || prefixed "scale_transitions"
-    || prefixed "scale_offered"
-    || name = "overload_crash_breaker_opens"
-  then Exact
-  else if
-    contains name "_ns" || contains name "_per_s" || contains name "per_sec"
-    || contains name "speedup" || contains name "overhead" || contains name "heap_ratio"
-  then Skip
-  else Rel 0.25
-
+(* Every value the harness records is simulated, a pure function of the
+   code and its seeds, so one rule covers the whole baseline: each run
+   experiment's instruction count and metrics must equal the baseline's
+   to the printed digit, and a metric the baseline lacks is a violation
+   too (it would otherwise never be gated). Baseline experiments absent
+   from this run are out of scope: the baseline is the full suite and the
+   gate usually runs --quick. *)
 let check_baseline file outcomes =
   let module T = Sfi_trace.Trace in
-  let failures = ref 0 in
-  let complain msg =
-    incr failures;
-    Printf.eprintf "regress: %s\n" msg
+  let checked = ref 0 and failures = ref 0 in
+  let complain fmt =
+    Printf.ksprintf
+      (fun msg ->
+        incr failures;
+        Printf.eprintf "regress: %s\n" msg)
+      fmt
   in
   let text =
     let ic = open_in_bin file in
@@ -1493,96 +1341,53 @@ let check_baseline file outcomes =
       exit 1
   in
   let obj = function T.J_obj kvs -> kvs | _ -> [] in
-  let top = obj j in
-  (* Aggregate throughput floor: half the recorded baseline. The baseline
-     may cover more experiments than this run (full vs --quick), so the
-     aggregate is only comparable to a generous floor, not a band. *)
-  (match List.assoc_opt "aggregate_instructions_per_sec" top with
-  | Some (T.J_num base_ips) ->
-      let agg_instr, agg_wall =
-        List.fold_left
-          (fun (i, w) o ->
-            if o.o_instructions > 0 then (i + o.o_instructions, w +. o.o_wall_s) else (i, w))
-          (0, 0.0) outcomes
-      in
-      let cur = if agg_wall > 0.0 then float_of_int agg_instr /. agg_wall else 0.0 in
-      if cur < 0.5 *. base_ips then
-        complain
-          (Printf.sprintf
-             "aggregate_instructions_per_sec %.0f fell below half the baseline %.0f" cur
-             base_ips)
-  | _ -> ());
   let baseline_exps =
-    match List.assoc_opt "experiments" top with
+    match List.assoc_opt "experiments" (obj j) with
     | Some (T.J_arr es) -> List.map obj es
     | _ -> []
   in
-  let checked = ref 0 and skipped = ref 0 in
+  let exact name key ~baseline current =
+    incr checked;
+    match baseline with
+    | Some (T.J_num bv) when fmt_value bv = fmt_value current -> ()
+    | Some (T.J_num bv) ->
+        complain "%s: %s = %s, baseline %s" name key (fmt_value current) (fmt_value bv)
+    | _ -> complain "%s: %s = %s, missing from the baseline" name key (fmt_value current)
+  in
   List.iter
-    (fun e ->
-      let name =
-        match List.assoc_opt "name" e with Some (T.J_str s) -> s | _ -> ""
-      in
-      (* Experiments absent from this run (baseline is the full suite, the
-         gate usually runs the --quick subset) are out of scope. *)
-      match List.find_opt (fun o -> o.o_name = name) outcomes with
-      | None -> ()
-      | Some o ->
-          let bmetrics =
-            match List.assoc_opt "metrics" e with Some (T.J_obj kvs) -> kvs | _ -> []
-          in
+    (fun o ->
+      match
+        List.find_opt (fun e -> List.assoc_opt "name" e = Some (T.J_str o.o_name)) baseline_exps
+      with
+      | None -> complain "%s: experiment missing from the baseline" o.o_name
+      | Some e ->
+          exact o.o_name "instructions"
+            ~baseline:(List.assoc_opt "instructions" e)
+            (float_of_int o.o_instructions);
+          let bmetrics = match List.assoc_opt "metrics" e with Some m -> obj m | None -> [] in
           List.iter
-            (fun (k, bj) ->
-              match bj with
-              | T.J_num bv -> (
-                  match List.assoc_opt k o.o_metrics with
-                  | None ->
-                      complain
-                        (Printf.sprintf
-                           "%s: metric %s present in baseline but missing from this run"
-                           name k)
-                  | Some cv -> (
-                      match tolerance_of k with
-                      | Skip -> incr skipped
-                      | Exact ->
-                          incr checked;
-                          (* The baseline JSON rounds to 3 decimals. *)
-                          if Float.abs (cv -. bv) > 0.0005 then
-                            complain
-                              (Printf.sprintf
-                                 "%s: %s = %.3f, baseline %.3f (deterministic counter \
-                                  must match exactly)"
-                                 name k cv bv)
-                      | Rel tol ->
-                          incr checked;
-                          let denom = Float.max (Float.abs bv) 1e-6 in
-                          if Float.abs (cv -. bv) /. denom > tol then
-                            complain
-                              (Printf.sprintf
-                                 "%s: %s = %.3f, baseline %.3f (beyond the ±%.0f%% band)"
-                                 name k cv bv (100.0 *. tol))))
-              | _ -> ())
+            (fun (k, v) -> exact o.o_name k ~baseline:(List.assoc_opt k bmetrics) v)
+            o.o_metrics;
+          List.iter
+            (fun (k, _) ->
+              if not (List.mem_assoc k o.o_metrics) then
+                complain "%s: metric %s present in the baseline but missing from this run"
+                  o.o_name k)
             bmetrics)
-    baseline_exps;
-  Printf.printf
-    "regress: %d metric(s) checked against %s (%d host-timing metrics skipped), %d \
-     violation(s)\n%!"
-    !checked file !skipped !failures;
+    outcomes;
+  Printf.printf "regress: %d value(s) checked exactly against %s, %d violation(s)\n%!" !checked
+    file !failures;
   !failures = 0
 
 let summarize outcomes ~total_wall_s =
-  let t = Table.create ~headers:[ "experiment"; "wall s"; "sim Minstr"; "Minstr/s" ] in
+  let t = Table.create ~headers:[ "experiment"; "wall s"; "sim Minstr" ] in
   List.iter
     (fun o ->
-      let mi = float_of_int o.o_instructions /. 1e6 in
       Table.add_row t
         [
           o.o_name;
           Printf.sprintf "%.2f" o.o_wall_s;
-          Printf.sprintf "%.1f" mi;
-          (if o.o_instructions > 0 && o.o_wall_s > 0.0 then
-             Printf.sprintf "%.1f" (mi /. o.o_wall_s)
-           else "-");
+          Printf.sprintf "%.1f" (float_of_int o.o_instructions /. 1e6);
         ])
     outcomes;
   Printf.printf "\n=== Harness summary ===\n\n%!";
@@ -1661,7 +1466,7 @@ let () =
   List.iter (fun o -> print_string o.o_output) outcomes;
   flush stdout;
   summarize outcomes ~total_wall_s;
-  (match !json with Some file -> write_json file outcomes ~jobs ~total_wall_s | None -> ());
+  (match !json with Some file -> write_json file outcomes ~jobs | None -> ());
   let regress_ok =
     match !baseline with Some file -> check_baseline file outcomes | None -> true
   in

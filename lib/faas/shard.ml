@@ -13,6 +13,7 @@
    to the unsharded [Sim.run]. *)
 
 module Runtime = Sfi_runtime.Runtime
+module Machine = Sfi_machine.Machine
 module Prng = Sfi_util.Prng
 module Hist = Sfi_util.Hist
 module Trace = Sfi_trace.Trace
@@ -95,6 +96,7 @@ type report = {
   r_shards : shard_stat array;
   r_steals : int;
   r_metrics : Runtime.metrics;
+  r_instructions : int;
   r_trace : Trace.t option;
 }
 
@@ -187,24 +189,26 @@ let run cfg =
       chaos;
     }
   in
-  (* One domain per shard. The DLS-backed [Runtime.domain_metrics]
-     counters die with the worker domain, so each worker snapshots them
-     *before* returning — reading them after [Domain.join] would observe
-     nothing (the per-domain-metrics-lifetime bug this layer exposed). A
+  (* One domain per shard. The DLS-backed [Runtime.domain_metrics] and
+     [Machine.retired_instructions] counters die with the worker domain,
+     so each worker snapshots them *before* returning — reading them
+     after [Domain.join] would observe nothing (the
+     per-domain-metrics-lifetime bug this layer exposed). A
      shard the hash left without tenants (possible when shards is close to
      the tenant count) serves nothing and returns [None]: the merge sums
      only the shards that ran. *)
   let worker s () =
     if Array.length locals.(s) = 0 then None
     else
+      let i0 = Machine.retired_instructions () in
       let r = Sim.run (shard_cfg s) in
-      Some (r, Runtime.domain_metrics ())
+      Some (r, Runtime.domain_metrics (), Machine.retired_instructions () - i0)
   in
   let handles = Array.init shards (fun s -> Domain.spawn (worker s)) in
   let joined = Array.map Domain.join handles in
   let ran = List.filter_map Fun.id (Array.to_list joined) in
-  let results = List.map fst ran in
-  let metrics = Runtime.merged_metrics (List.map snd ran) in
+  let results = List.map (fun (r, _, _) -> r) ran in
+  let metrics = Runtime.merged_metrics (List.map (fun (_, m, _) -> m) ran) in
   let merged_trace =
     if tracing then Some (Trace.merge_shards (Array.to_list rings)) else None
   in
@@ -213,7 +217,7 @@ let run cfg =
   let tenants =
     Array.init n (fun g ->
         (* Tenant [g] lives on shard [assign.(g)], so that shard ran. *)
-        let r, _ = Option.get joined.(assign.(g)) in
+        let r, _, _ = Option.get joined.(assign.(g)) in
         let st = r.Sim.tenants.(local_of.(g)) in
         { st with Sim.t_id = g })
   in
@@ -270,7 +274,7 @@ let run cfg =
         let sh_completed, sh_shed, sh_busy_ns, sh_metrics =
           match joined.(s) with
           | None -> (0, 0, 0.0, Runtime.zero_metrics)
-          | Some (r, m) ->
+          | Some (r, m, _) ->
               ( r.Sim.completed,
                 r.Sim.shed_sojourn + r.Sim.shed_rate_limited + r.Sim.shed_queue_full
                 + r.Sim.shed_priority,
@@ -293,6 +297,7 @@ let run cfg =
     r_shards = shard_stats;
     r_steals = steals;
     r_metrics = metrics;
+    r_instructions = List.fold_left (fun acc (_, _, i) -> acc + i) 0 ran;
     r_trace = merged_trace;
   }
 

@@ -70,6 +70,9 @@ type report = {
   r_shards : shard_stat array;
   r_steals : int;
   r_metrics : Sfi_runtime.Runtime.metrics;
+  r_instructions : int;
+      (** simulated instructions retired across the shards, harvested on
+          each worker domain like [r_metrics] *)
   r_trace : Sfi_trace.Trace.t option;
       (** the namespaced, time-merged trace ([None] when [base.trace] is
           the null sink) *)

@@ -1,7 +1,8 @@
 (* Tests for the sharded serving layer: the 1-shard bit-identity
    contract with the unsharded sim (result, runtime counters and trace
    fingerprint, on both engines, closed and open loop), K-shard
-   determinism at a fixed seed, and the dispatch-plan properties
+   determinism at a fixed seed, the per-domain harvest of retired
+   instructions, and the dispatch-plan properties
    (hash placement, tail-only work stealing). *)
 
 module Sim = Sfi_faas.Sim
@@ -122,6 +123,19 @@ let test_ksharded_report_shape () =
   Alcotest.(check bool) "latency summary ordered" true
     (p50 > 0.0 && p50 <= p95 && p95 <= p99)
 
+(* The retired-instruction count dies with each worker domain, so the
+   report must carry the harvest: a 1-shard run reports exactly what the
+   same Sim.run retires on the calling domain. *)
+let test_instructions_harvested () =
+  let cfg = base_cfg ~open_loop:true () in
+  let i0 = Machine.retired_instructions () in
+  ignore (Sim.run cfg);
+  let expected = Machine.retired_instructions () - i0 in
+  let rep = Shard.run (Shard.default_config ~shards:1 cfg) in
+  Alcotest.(check bool) "instructions retired" true (rep.Shard.r_instructions > 0);
+  Alcotest.(check int) "1-shard count = calling-domain delta" expected
+    rep.Shard.r_instructions
+
 let test_more_shards_than_tenants () =
   let cfg = base_cfg ~concurrency:2 () in
   let rep = Shard.run (Shard.default_config ~shards:4 cfg) in
@@ -195,6 +209,7 @@ let tests =
     Harness.case "k-shard runs are deterministic" test_ksharded_deterministic;
     Harness.case "k-shard report shape and merge accounting"
       test_ksharded_report_shape;
+    Harness.case "retired instructions harvested per shard" test_instructions_harvested;
     Harness.case "more shards than tenants" test_more_shards_than_tenants;
     Harness.case "empty shards report zeros" test_empty_shards;
     Harness.case "dispatch plan: placement and tail stealing" test_plan_stealing;

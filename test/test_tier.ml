@@ -2,7 +2,8 @@
    across program swaps (the [profile_dropped] contract), eager superblock
    promotion under [Tier2] and the [Adaptive] runtime default,
    bit-identity of mid-run promotion with the per-instruction engines
-   (handcrafted, qcheck-random, and fuzzer corpus programs), trace-driven
+   (handcrafted, qcheck-random, and fuzzer corpus programs, and real
+   Polybench kernels under all four engines), trace-driven
    demotion of trappable superblocks, and the page-access-cache
    invalidation edge across a superblock boundary. *)
 
@@ -326,6 +327,32 @@ let test_pcache_superblock_boundary () =
   Alcotest.(check bool) "post-trap snapshot bit-identical to reference" true
     (snap2 = snap_ref)
 
+(* Real kernels under all four engines: Polybench gemm and atax (atax is
+   the TLB-heavy one) through [Kernel.run], at the validation suite's
+   reduced sizing. Result and every counter the figures read must equal
+   the reference interpreter's. *)
+let test_kernels_all_engines () =
+  let module Kernel = Sfi_workloads.Kernel in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let k = { k with Kernel.args = Test_workloads.small_args k 4 } in
+      let run engine = Kernel.run ~engine ~strategy:Strategy.segue k in
+      let r = run Machine.Reference in
+      List.iter
+        (fun (name, engine) ->
+          let m = run engine in
+          let check what f =
+            Alcotest.(check int) (Printf.sprintf "%s %s: %s" k.Kernel.name name what) (f r) (f m)
+          in
+          Alcotest.(check int64) (k.Kernel.name ^ " " ^ name ^ ": result") r.Kernel.result
+            m.Kernel.result;
+          check "cycles" (fun m -> m.Kernel.cycles);
+          check "instructions" (fun m -> m.Kernel.instructions);
+          check "dTLB misses" (fun m -> m.Kernel.dtlb_misses);
+          check "dcache misses" (fun m -> m.Kernel.dcache_misses))
+        [ ("threaded", Machine.Threaded); ("tier2", Machine.Tier2); ("adaptive", Machine.Adaptive) ])
+    [ Sfi_workloads.Polybench.gemm; Sfi_workloads.Polybench.atax ]
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -340,4 +367,5 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_adaptive;
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
+    case "polybench kernels: four engines, identical counters" test_kernels_all_engines;
   ]
