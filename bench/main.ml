@@ -1086,12 +1086,14 @@ let scale () =
   in
   let goodputs = ref [] in
   let g1 = ref 0.0 in
+  let sweep4 = ref None in
   List.iter
     (fun k ->
       let rep = run k in
       let r = rep.Shard.r_result in
       let _, _, p99 = Shard.latency_summary r in
       if k = 1 then g1 := r.Sim.goodput_rps;
+      if k = 4 then sweep4 := Some rep;
       goodputs := (k, r.Sim.goodput_rps) :: !goodputs;
       Table.add_row t
         [
@@ -1122,9 +1124,9 @@ let scale () =
   if speedup4 < 2.0 then
     failwith (Printf.sprintf "scale: speedup at 4 shards %.2fx < 2x" speedup4);
   (* Determinism: the 4-shard point repeated at the same seed must be
-     bit-identical — result, per-tenant stats, and the runtime counters
-     harvested from the worker domains. *)
-  let a = run 4 and b = run 4 in
+     bit-identical to the sweep's — result, per-tenant stats, and the
+     runtime counters harvested from the worker domains. *)
+  let a = Option.get !sweep4 and b = run 4 in
   if
     Shard.result_fingerprint a.Shard.r_result <> Shard.result_fingerprint b.Shard.r_result
     || Shard.metrics_fingerprint a.Shard.r_metrics

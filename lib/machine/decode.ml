@@ -170,7 +170,7 @@ let rw_bytes t page =
 
 let page_mask = Space.page_size - 1
 
-let load_mem t w addr =
+let[@inline] load_mem t w addr =
   let len = width_bytes w in
   check_access t ~addr ~len ~write:false;
   t.counters.loads <- t.counters.loads + 1;
@@ -188,9 +188,15 @@ let load_mem t w addr =
     | W8 -> Int64.of_int (Space.read8 t.space addr)
     | W16 -> Int64.of_int (Space.read16 t.space addr)
     | W32 -> Int64.logand (Int64.of_int32 (Space.read32 t.space addr)) 0xFFFFFFFFL
-    | W64 -> Space.read64 t.space addr
+    | W64 ->
+        (* [Space.read64]'s split, stated here so that every arm of this
+           inlined load ends in an int64 primitive and stays unboxed. *)
+        let lo = Space.read32 t.space addr and hi = Space.read32 t.space (addr + 4) in
+        Int64.logor
+          (Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL)
+          (Int64.shift_left (Int64.of_int32 hi) 32)
 
-let store_mem t w addr v =
+let[@inline] store_mem t w addr v =
   let len = width_bytes w in
   check_access t ~addr ~len ~write:true;
   t.counters.stores <- t.counters.stores + 1;
@@ -263,7 +269,7 @@ let set_sub_flags t w a b r =
    t.cf <- Int64.unsigned_compare ua ub < 0);
   t.of_ <- sign_bit w a <> sign_bit w b && sign_bit w r <> sign_bit w a
 
-let eval_cond t = function
+let[@inline] eval_cond t = function
   | E -> t.zf
   | NE -> not t.zf
   | L -> t.sf <> t.of_
@@ -279,7 +285,7 @@ let eval_cond t = function
 
 (* --- Sign extension helper for Movsx / division --- *)
 
-let sext w v =
+let[@inline] sext w v =
   match w with
   | W64 -> v
   | _ ->
@@ -309,7 +315,7 @@ let charge_frontend t len =
     end
   end
 
-let push64 t v =
+let[@inline] push64 t v =
   let rsp = Int64.to_int (get_reg t RSP) - 8 in
   set_reg t RSP (Int64.of_int rsp);
   check_access t ~addr:rsp ~len:8 ~write:true;
@@ -318,7 +324,7 @@ let push64 t v =
     Bytes.set_int64_le (rw_bytes t (rsp lsr 12)) (rsp land page_mask) v
   else Space.write64 t.space rsp v
 
-let pop64 t =
+let[@inline] pop64 t =
   let rsp = Int64.to_int (get_reg t RSP) in
   check_access t ~addr:rsp ~len:8 ~write:false;
   t.counters.loads <- t.counters.loads + 1;
@@ -356,7 +362,7 @@ let return_address t =
 (* Pure value computations shared by the reference interpreter and the
    compiled closures, so the executors cannot drift. *)
 
-let shift_value w op a n =
+let[@inline] shift_value w op a n =
   let bits = width_bits w in
   let masked = Int64.logand a (mask_of_width w) in
   match op with

@@ -252,12 +252,12 @@ let code_bounds t =
 
 (* --- Register access --- *)
 
-let reg_get t i = Bytes.get_int64_ne t.regs (i lsl 3)
-let reg_set t i v = Bytes.set_int64_ne t.regs (i lsl 3) v
+let[@inline] reg_get t i = Bytes.get_int64_ne t.regs (i lsl 3)
+let[@inline] reg_set t i v = Bytes.set_int64_ne t.regs (i lsl 3) v
 let get_reg t r = reg_get t (gpr_index r)
 let set_reg t r v = reg_set t (gpr_index r) v
 
-let read_reg_w t w r =
+let[@inline] read_reg_w t w r =
   let v = reg_get t (gpr_index r) in
   match w with
   | W64 -> v
@@ -267,7 +267,7 @@ let read_reg_w t w r =
 
 (* x86 semantics: 32-bit writes zero-extend; 8/16-bit writes preserve the
    upper bits of the destination. *)
-let write_reg_w t w r v =
+let[@inline] write_reg_w t w r v =
   let i = gpr_index r in
   match w with
   | W64 -> reg_set t i v

@@ -13,83 +13,212 @@ open Mstate
 open Decode
 module Encode = Sfi_x86.Encode
 
+(* An addressing expression with its registers (-1 = none), scale and
+   displacement resolved at translation time. [mask] is the 32-bit
+   address-size truncation (or -1L); [seg] picks the segment base added
+   to the sum: 0 none, 1 fs, 2 gs (a native base is gs; a Lea adds none). *)
+type ea = { base : int; index : int; scale : int64; disp : int64; mask : int64; seg : int }
+
+let resolve_ea ?(lea = false) (m : mem) =
+  let reg = function Some r -> gpr_index r | None -> -1 in
+  {
+    base = reg m.base;
+    index = reg (Option.map fst m.index);
+    scale = (match m.index with Some (_, s) -> Int64.of_int (scale_factor s) | None -> 0L);
+    disp = Int64.of_int m.disp;
+    mask = (if m.addr32 && (lea || not m.native_base) then 0xFFFFFFFFL else -1L);
+    seg =
+      (if lea then 0
+       else if m.native_base then 2
+       else match m.seg with None -> 0 | Some FS -> 1 | Some GS -> 2);
+  }
+
+(* The address sum, which is also what a Lea produces. *)
+let[@inline] ea_sum t e =
+  let base = if e.base >= 0 then reg_get t e.base else 0L in
+  let index = if e.index >= 0 then Int64.mul (reg_get t e.index) e.scale else 0L in
+  Int64.logand (Int64.add (Int64.add base index) e.disp) e.mask
+
+let[@inline] ea_addr t e =
+  let segv = match e.seg with 0 -> 0 | 1 -> t.fs_base | _ -> t.gs_base in
+  Int64.to_int (Int64.add (Int64.of_int segv) (ea_sum t e)) land addr_mask_47
+
+(* Register access and flags at a width given by its mask [m] and sign
+   bit [sb]. The flags are stated here apart from [Decode]'s setters so
+   that Lockstep keeps comparing two independent statements. *)
+let sign_bit_of w = Int64.shift_left 1L (width_bits w - 1)
+let[@inline] rget t m i = Int64.logand (reg_get t i) m
+let[@inline] rset t m i v = reg_set t i (Int64.logand v m)
+
+let[@inline] logic_flags t m sb r =
+  t.zf <- Int64.logand r m = 0L;
+  t.sf <- Int64.logand r sb <> 0L;
+  t.cf <- false;
+  t.of_ <- false
+
+(* Flags of [r = a + b], or of [r = a - b] when [sub]. *)
+let[@inline] arith_flags t ~sub m sb a b r =
+  let ua = Int64.logand a m and sa = Int64.logand a sb <> 0L and sr = Int64.logand r sb <> 0L in
+  t.zf <- Int64.logand r m = 0L;
+  t.sf <- sr;
+  t.cf <-
+    (if sub then Int64.unsigned_compare ua (Int64.logand b m) < 0
+     else Int64.unsigned_compare (Int64.logand r m) ua < 0);
+  t.of_ <- sr <> sa && (sa = (Int64.logand b sb <> 0L)) <> sub
+
+(* One ALU op and its flags; [Cmp] is a [Sub] and [Test] an [And] whose
+   result is dropped. *)
+let[@inline] alu t op m sb a b =
+  match op with
+  | Add ->
+      let r = Int64.add a b in
+      arith_flags t ~sub:false m sb a b r;
+      r
+  | Sub ->
+      let r = Int64.sub a b in
+      arith_flags t ~sub:true m sb a b r;
+      r
+  | And | Or | Xor ->
+      let r =
+        match op with And -> Int64.logand a b | Or -> Int64.logor a b | _ -> Int64.logxor a b
+      in
+      logic_flags t m sb r;
+      r
+
+(* Generic operand access: a closure per operand, each value crossing it
+   boxed. Only the cold shapes below use it. *)
 let compile_read_reg w r =
-  let i = gpr_index r in
-  match w with
-  | W64 -> fun t -> reg_get t i
-  | W32 -> fun t -> Int64.logand (reg_get t i) 0xFFFFFFFFL
-  | W16 -> fun t -> Int64.logand (reg_get t i) 0xFFFFL
-  | W8 -> fun t -> Int64.logand (reg_get t i) 0xFFL
+  let i = gpr_index r and m = mask_of_width w in
+  fun t -> rget t m i
 
+(* x86 semantics: 32-bit writes zero-extend; 8/16-bit writes preserve the
+   upper bits of the destination. *)
 let compile_write_reg w r =
-  let i = gpr_index r in
+  let i = gpr_index r and m = mask_of_width w in
   match w with
-  | W64 -> fun t v -> reg_set t i v
-  | W32 -> fun t v -> reg_set t i (Int64.logand v 0xFFFFFFFFL)
-  | W16 ->
+  | W64 | W32 -> fun t v -> rset t m i v
+  | W16 | W8 ->
       fun t v ->
-        reg_set t i
-          (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot 0xFFFFL)) (Int64.logand v 0xFFFFL))
-  | W8 ->
-      fun t v ->
-        reg_set t i
-          (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot 0xFFL)) (Int64.logand v 0xFFL))
-
-let compile_index = function
-  | Some (r, s) ->
-      let i = gpr_index r and f = Int64.of_int (scale_factor s) in
-      fun t -> Int64.mul (reg_get t i) f
-  | None -> fun _ -> 0L
-
-let compile_ea (m : mem) =
-  let base_i = match m.base with Some r -> gpr_index r | None -> -1 in
-  let index_part = compile_index m.index in
-  let disp = Int64.of_int m.disp in
-  let mask32 = m.addr32 && not m.native_base in
-  let native = m.native_base in
-  let seg = m.seg in
-  fun t ->
-    let base = if base_i >= 0 then reg_get t base_i else 0L in
-    let sum = Int64.add (Int64.add base (index_part t)) disp in
-    let sum = if mask32 then Int64.logand sum 0xFFFFFFFFL else sum in
-    let segv =
-      if native then t.gs_base else match seg with Some s -> get_seg_base t s | None -> 0
-    in
-    Int64.to_int (Int64.add (Int64.of_int segv) sum) land addr_mask_47
-
-let compile_lea (m : mem) =
-  let base_i = match m.base with Some r -> gpr_index r | None -> -1 in
-  let index_part = compile_index m.index in
-  let disp = Int64.of_int m.disp in
-  let mask32 = m.addr32 in
-  fun t ->
-    let base = if base_i >= 0 then reg_get t base_i else 0L in
-    let sum = Int64.add (Int64.add base (index_part t)) disp in
-    if mask32 then Int64.logand sum 0xFFFFFFFFL else sum
+        reg_set t i (Int64.logor (Int64.logand (reg_get t i) (Int64.lognot m)) (Int64.logand v m))
 
 let compile_read w op =
   match op with
   | Reg r -> compile_read_reg w r
   | Imm i ->
-      let v =
-        match w with
-        | W64 -> i
-        | W32 -> Int64.logand i 0xFFFFFFFFL
-        | W16 -> Int64.logand i 0xFFFFL
-        | W8 -> Int64.logand i 0xFFL
-      in
+      let v = Int64.logand i (mask_of_width w) in
       fun _ -> v
   | Mem m ->
-      let ea = compile_ea m in
-      fun t -> load_mem t w (ea t)
+      let e = resolve_ea m in
+      fun t -> load_mem t w (ea_addr t e)
 
 let compile_write w op =
   match op with
   | Reg r -> compile_write_reg w r
   | Mem m ->
-      let ea = compile_ea m in
-      fun t v -> store_mem t w (ea t) v
+      let e = resolve_ea m in
+      fun t v -> store_mem t w (ea_addr t e) v
   | Imm _ -> fun _ _ -> invalid_arg "Machine: immediate as destination"
+
+(* Shape-specialised bodies for the hot W32/W64 forms, plus stores and
+   Movzx loads of any width: each reads, operates and writes back inside
+   one closure through the inlined register and [Decode] memory
+   primitives, so no boxed int64 crosses a call. [None] leaves the op to
+   [compile_body]'s generic arms: partial W8/W16 writes, Div, Bitcnt,
+   Cmovcc, vectors and every other rare shape. *)
+let compile_shaped (instr : instr) =
+  let wide = function W32 | W64 -> true | W8 | W16 -> false in
+  (* Alu, Cmp and Test; [write] stores the result back to [dst]. *)
+  let alu_shape op w ~write dst src =
+    let m = mask_of_width w and sb = sign_bit_of w in
+    match (dst, src) with
+    | Reg d, Reg s ->
+        let d = gpr_index d and s = gpr_index s in
+        Some
+          (fun t ->
+            let r = alu t op m sb (rget t m d) (rget t m s) in
+            if write then rset t m d r)
+    | Reg d, Imm i ->
+        let d = gpr_index d and v = Int64.logand i m in
+        Some
+          (fun t ->
+            let r = alu t op m sb (rget t m d) v in
+            if write then rset t m d r)
+    | Reg d, Mem e ->
+        let d = gpr_index d and e = resolve_ea e in
+        Some
+          (fun t ->
+            let r = alu t op m sb (rget t m d) (load_mem t w (ea_addr t e)) in
+            if write then rset t m d r)
+    | Mem e, Reg s ->
+        let s = gpr_index s and e = resolve_ea e in
+        Some
+          (fun t ->
+            let a = ea_addr t e in
+            let r = alu t op m sb (load_mem t w a) (rget t m s) in
+            if write then store_mem t w a r)
+    | Mem e, Imm i ->
+        let v = Int64.logand i m and e = resolve_ea e in
+        Some
+          (fun t ->
+            let a = ea_addr t e in
+            let r = alu t op m sb (load_mem t w a) v in
+            if write then store_mem t w a r)
+    | _ -> None
+  in
+  match instr with
+  | Alu (op, w, dst, src) when wide w -> alu_shape op w ~write:true dst src
+  | Cmp (w, a, b) when wide w -> alu_shape Sub w ~write:false a b
+  | Test (w, a, b) when wide w -> alu_shape And w ~write:false a b
+  | Mov (w, Reg d, src) when wide w -> (
+      let d = gpr_index d and m = mask_of_width w in
+      match src with
+      | Reg s ->
+          let s = gpr_index s in
+          Some (fun t -> rset t m d (reg_get t s))
+      | Imm i ->
+          let v = Int64.logand i m in
+          Some (fun t -> reg_set t d v)
+      | Mem e ->
+          let e = resolve_ea e in
+          Some (fun t -> reg_set t d (load_mem t w (ea_addr t e))))
+  (* A store truncates to its width itself, so it has no partial write. *)
+  | Mov (w, Mem e, Reg s) ->
+      let s = gpr_index s and e = resolve_ea e in
+      Some (fun t -> store_mem t w (ea_addr t e) (reg_get t s))
+  | Mov (w, Mem e, Imm i) ->
+      let e = resolve_ea e in
+      Some (fun t -> store_mem t w (ea_addr t e) i)
+  | Movzx (dw, sw, d, Mem e) when wide dw ->
+      let d = gpr_index d and e = resolve_ea e in
+      Some (fun t -> reg_set t d (load_mem t sw (ea_addr t e)))
+  | Lea (w, d, e) when wide w ->
+      let d = gpr_index d and m = mask_of_width w and e = resolve_ea ~lea:true e in
+      Some (fun t -> rset t m d (ea_sum t e))
+  | Shift (op, w, Reg d, count) when wide w ->
+      let d = gpr_index d and m = mask_of_width w and sb = sign_bit_of w in
+      let nmask = width_bits w - 1 and rcx = gpr_index RCX in
+      let imm = match count with Count_imm n -> n land nmask | Count_cl -> -1 in
+      Some
+        (fun t ->
+          let n = if imm >= 0 then imm else Int64.to_int (reg_get t rcx) land nmask in
+          let r = shift_value w op (rget t m d) n in
+          logic_flags t m sb r;
+          rset t m d r)
+  | Imul (w, d, src) when wide w -> (
+      let d = gpr_index d and m = mask_of_width w in
+      match src with
+      | Reg s ->
+          let s = gpr_index s in
+          Some (fun t -> rset t m d (Int64.mul (rget t m d) (rget t m s)))
+      | Mem e ->
+          let e = resolve_ea e in
+          Some (fun t -> rset t m d (Int64.mul (rget t m d) (load_mem t w (ea_addr t e))))
+      | Imm _ -> None)
+  | Push (Reg s) ->
+      let s = gpr_index s in
+      Some (fun t -> push64 t (reg_get t s))
+  | Push (Imm i) -> Some (fun t -> push64 t i)
+  | _ -> None
 
 (* The cycle charge an op issues unconditionally, before any trap point —
    everything except dynamic charges (TLB walk, dcache miss, load/store
@@ -135,6 +264,9 @@ let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : inst
   let next = idx + 1 in
   let tgt = targets.(idx) in
   let ret_addr = ret_addrs.(idx) in
+  match compile_shaped instr with
+  | Some body -> body
+  | None -> (
   match instr with
   | Label _ | Nop -> fun _ -> ()
   | Mov (w, dst, src) ->
@@ -147,28 +279,18 @@ let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : inst
       let rd = compile_read sw src and wr = compile_write_reg dw dst in
       fun t -> wr t (sext sw (rd t))
   | Lea (w, dst, m) ->
-      let lv = compile_lea m and wr = compile_write_reg w dst in
-      fun t -> wr t (lv t)
+      let e = resolve_ea ~lea:true m and wr = compile_write_reg w dst in
+      fun t -> wr t (ea_sum t e)
   | Alu (op, w, dst, src) ->
       let rd = compile_read w dst and rs = compile_read w src and wr = compile_write w dst in
-      let f =
-        match op with
-        | Add -> Int64.add
-        | Sub -> Int64.sub
-        | And -> Int64.logand
-        | Or -> Int64.logor
-        | Xor -> Int64.logxor
-      in
+      let m = mask_of_width w and sb = sign_bit_of w in
       fun t ->
-        let a = rd t and b = rs t in
-        let r = f a b in
-        (match op with
-        | Add -> set_add_flags t w a b r
-        | Sub -> set_sub_flags t w a b r
-        | And | Or | Xor -> set_logic_flags t w r);
-        wr t r
+        let a = rd t in
+        let b = rs t in
+        wr t (alu t op m sb a b)
   | Shift (op, w, dst, count) ->
       let rd = compile_read w dst and wr = compile_write w dst in
+      let m = mask_of_width w and sb = sign_bit_of w in
       let rcx = gpr_index RCX in
       let get_n =
         match count with
@@ -180,7 +302,7 @@ let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : inst
         let n = get_n t land nmask in
         let a = rd t in
         let r = shift_value w op a n in
-        set_logic_flags t w r;
+        logic_flags t m sb r;
         wr t r
   | Imul (w, dst, src) ->
       let rdd = compile_read_reg w dst and rs = compile_read w src in
@@ -203,24 +325,23 @@ let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : inst
         write_reg_w t w RDX (if Int64.compare a 0L < 0 then -1L else 0L)
   | Neg (w, op) ->
       let rd = compile_read w op and wr = compile_write w op in
+      let m = mask_of_width w and sb = sign_bit_of w in
       fun t ->
         let a = rd t in
         let r = Int64.neg a in
-        set_sub_flags t w 0L a r;
+        arith_flags t ~sub:true m sb 0L a r;
         wr t r
   | Not (w, op) ->
       let rd = compile_read w op and wr = compile_write w op in
       fun t -> wr t (Int64.lognot (rd t))
-  | Cmp (w, a, b) ->
+  | Cmp (w, a, b) | Test (w, a, b) ->
       let ra = compile_read w a and rb = compile_read w b in
+      let op = match instr with Cmp _ -> Sub | _ -> And in
+      let m = mask_of_width w and sb = sign_bit_of w in
       fun t ->
-        let va = ra t and vb = rb t in
-        set_sub_flags t w va vb (Int64.sub va vb)
-  | Test (w, a, b) ->
-      let ra = compile_read w a and rb = compile_read w b in
-      fun t ->
-        let va = ra t and vb = rb t in
-        set_logic_flags t w (Int64.logand va vb)
+        let va = ra t in
+        let vb = rb t in
+        ignore (alu t op m sb va vb)
   | Setcc (c, r) ->
       let i = gpr_index r in
       fun t -> reg_set t i (if eval_cond t c then 1L else 0L)
@@ -288,11 +409,11 @@ let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : inst
         reg_set t rax (Int64.of_int t.pkru);
         reg_set t rdx 0L
   | Vload (v, m) ->
-      let ea = compile_ea m and vi = vreg_index v in
-      fun t -> vload_data t vi (ea t)
+      let e = resolve_ea m and vi = vreg_index v in
+      fun t -> vload_data t vi (ea_addr t e)
   | Vstore (m, v) ->
-      let ea = compile_ea m and vi = vreg_index v in
-      fun t -> vstore_data t (ea t) vi
+      let e = resolve_ea m and vi = vreg_index v in
+      fun t -> vstore_data t (ea_addr t e) vi
   | Vzero v ->
       let vi = vreg_index v in
       fun t -> Bytes.fill t.vregs.(vi) 0 16 '\000'
@@ -300,7 +421,7 @@ let compile_body ~targets ~ret_addrs ~index_of_off ~code_base ~idx (instr : inst
       let vi = vreg_index v and c = Char.chr (b land 0xFF) in
       fun t -> Bytes.fill t.vregs.(vi) 0 16 c
   | Hostcall n -> fun t -> t.hostcall t n
-  | Trap k -> fun _ -> raise (Trap_exn k)
+  | Trap k -> fun _ -> raise (Trap_exn k))
 
 (* Tier 1: one dispatch slot per instruction, charged in [Decode.step]'s
    order — retire, fetch, fixed cycles, then the body. Labels retire

@@ -2,7 +2,9 @@
    the reference step interpreter: lockstep snapshot comparison on
    handcrafted programs covering every trap kind and control-flow shape, a
    randomized qcheck property reusing the test_random_programs generator
-   through the full Wasm pipeline, and targeted tests for the page-access
+   through the full Wasm pipeline, a second one over straight-line x86
+   blocks drawn directly (every specialised operand shape, partial
+   writes, page-crossing and faulting accesses), and targeted tests for the page-access
    cache's invalidation edges (mprotect, pkru writes, unmap/generation
    bumps, madvise, host stores). *)
 
@@ -236,6 +238,125 @@ let qcheck_differential =
     check_engines_agree
 
 (* ------------------------------------------------------------------ *)
+(* Randomized lockstep over straight-line x86 blocks, drawn directly.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Operand roles: the [block_regs] are read and written freely; RBX and
+   the GS base hold [block_data] (mapped, two pages from the stack), R14
+   a small index and R12 an unmapped address. None of those three is
+   ever a destination. Displacements reach across the page boundary
+   inside the data region, and an R12-based operand traps wherever it
+   lands in the block. *)
+let block_regs = X.[| RAX; RCX; RDX; RSI; RDI; R8; R9; R10; R11 |]
+
+let block_data = mb + (10 * Space.page_size)
+let pick rng a = a.(Prng.int rng (Array.length a))
+
+let gen_block_mem rng =
+  let disp =
+    match Prng.int rng 3 with
+    | 0 -> Space.page_size - 1 - Prng.int rng 7
+    | 1 -> Prng.int rng 64
+    | _ -> 8 * Prng.int rng (Space.page_size / 4)
+  in
+  match Prng.int rng 10 with
+  | 0 -> X.mem ~base:X.R12 ~disp ()
+  | 1 | 2 -> X.mem ~seg:X.GS ~base:X.R14 ~disp ~addr32:true ()
+  | 3 | 4 -> X.mem ~base:X.RBX ~index:(X.R14, pick rng X.[| S1; S2; S4; S8 |]) ~disp ()
+  | _ -> X.mem ~base:X.RBX ~disp ()
+
+let gen_block_imm rng =
+  match Prng.int rng 3 with
+  | 0 -> Int64.of_int (Prng.int_in rng (-8) 8)
+  | 1 -> pick rng [| 0x7FL; 0x80L; 0x7FFFFFFFL; 0x80000000L; 0xFFFFFFFFL; Int64.min_int; -1L |]
+  | _ -> Prng.next_int64 rng
+
+(* One draw: an (op, width, operand shape) taken uniformly from every
+   form the translated tiers specialise, at every width, so W8/W16
+   partial writes come along; Setcc and Cmovcc make the flags land in
+   registers, and a Push is paired with a Pop to keep the stack level. *)
+let gen_block_instr rng =
+  let reg () = pick rng block_regs and mem () = gen_block_mem rng in
+  let w () = pick rng X.[| W8; W16; W32; W64 |] in
+  let rm () = if Prng.bool rng then X.Reg (reg ()) else X.Mem (mem ()) in
+  let shape () =
+    match Prng.int rng 5 with
+    | 0 -> (X.Reg (reg ()), X.Reg (reg ()))
+    | 1 -> (X.Reg (reg ()), X.Imm (gen_block_imm rng))
+    | 2 -> (X.Reg (reg ()), X.Mem (mem ()))
+    | 3 -> (X.Mem (mem ()), X.Reg (reg ()))
+    | _ -> (X.Mem (mem ()), X.Imm (gen_block_imm rng))
+  in
+  let cond () = pick rng X.[| E; NE; L; LE; G; GE; B; BE; A; AE; S; NS |] in
+  match Prng.int rng 11 with
+  | 0 ->
+      let d, s = shape () in
+      [ X.Mov (w (), d, s) ]
+  | 1 | 2 ->
+      let d, s = shape () in
+      [ X.Alu (pick rng X.[| Add; Sub; And; Or; Xor |], w (), d, s) ]
+  | 3 ->
+      let d, s = shape () in
+      [ (if Prng.bool rng then X.Cmp (w (), d, s) else X.Test (w (), d, s)) ]
+  | 4 -> [ X.Movzx (pick rng X.[| W32; W64 |], pick rng X.[| W8; W16 |], reg (), X.Mem (mem ())) ]
+  | 5 ->
+      let base = reg () and index = (reg (), pick rng X.[| S1; S2; S4; S8 |]) in
+      let m = X.mem ~base ~index ~disp:(Prng.int_in rng (-4096) 4096) ~addr32:(Prng.bool rng) () in
+      [ X.Lea (pick rng X.[| W16; W32; W64 |], reg (), m) ]
+  | 6 ->
+      let count = if Prng.int rng 4 = 0 then X.Count_cl else X.Count_imm (Prng.int rng 64) in
+      [ X.Shift (pick rng X.[| Shl; Shr; Sar; Rol; Ror |], w (), X.Reg (reg ()), count) ]
+  | 7 -> [ X.Imul (pick rng X.[| W16; W32; W64 |], reg (), rm ()) ]
+  | 8 ->
+      let src = if Prng.bool rng then X.Reg (reg ()) else X.Imm (gen_block_imm rng) in
+      [ X.Push src; X.Pop (reg ()) ]
+  | 9 -> [ X.Setcc (cond (), reg ()) ]
+  | _ -> [ X.Cmovcc (cond (), pick rng X.[| W32; W64 |], reg (), rm ()) ]
+
+(* Reference against each translated setting over one block: Lockstep
+   compares status, registers, flags, pc (the trap pc on a fault) and
+   every counter at each slice edge; the two final memory images must
+   match as well. *)
+let check_block_agrees seed =
+  let rng = Prng.create ~seed:(Int64.of_int seed) in
+  let block = List.concat (List.init (Prng.int_in rng 4 24) (fun _ -> gen_block_instr rng)) in
+  let regs = Array.map (fun _ -> gen_block_imm rng) block_regs in
+  let index = Int64.of_int (8 * Prng.int rng 64) in
+  let fill = Array.init (3 * Space.page_size / 8) (fun _ -> Prng.next_int64 rng) in
+  let setup m =
+    Array.iteri (fun i r -> Machine.set_reg m r regs.(i)) block_regs;
+    Machine.set_reg m X.RBX (Int64.of_int block_data);
+    Machine.set_reg m X.R12 (Int64.of_int (64 * mb));
+    Machine.set_reg m X.R14 index;
+    Machine.set_seg_base m X.GS block_data;
+    Array.iteri (fun i v -> Space.write64 (Machine.space m) (block_data + (8 * i)) v) fill
+  in
+  List.iter
+    (fun (engines, stride) ->
+      let made = ref [] in
+      let make () =
+        let m = make_machine ~setup block () in
+        made := m :: !made;
+        m
+      in
+      (match Lockstep.run_pair ~engines ~stride ~make ~entry:"entry" () with
+      | Ok _ -> ()
+      | Error d ->
+          QCheck.Test.fail_reportf "seed %d, stride %d: %s" seed stride
+            (Format.asprintf "%a" Lockstep.pp_divergence d));
+      let image m = Space.read_bytes (Machine.space m) ~addr:mb ~len:(16 * Space.page_size) in
+      match !made with
+      | [ b; a ] when Bytes.equal (image a) (image b) -> ()
+      | _ -> QCheck.Test.fail_reportf "seed %d, stride %d: memory images differ" seed stride)
+    engine_pairs;
+  true
+
+let qcheck_blocks =
+  QCheck.Test.make ~count:400 ~name:"tier2 = reference on random x86 blocks"
+    QCheck.(int_range 0 999_999)
+    check_block_agrees
+
+(* ------------------------------------------------------------------ *)
 (* Page-access cache invalidation edges.                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -385,6 +506,7 @@ let tests =
     case "lockstep: every trap kind" test_lockstep_traps;
     case "lockstep: pkru and hostcalls" test_lockstep_pkru_and_hostcall;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    QCheck_alcotest.to_alcotest qcheck_blocks;
     case "page cache: mprotect invalidates" test_pcache_prot_change;
     case "page cache: set_pkru invalidates" test_pcache_pkru_write;
     case "page cache: unmap invalidates" test_pcache_unmap;

@@ -4,8 +4,9 @@
    bit-identity of mid-run promotion with the per-instruction engines
    (handcrafted, qcheck-random, and fuzzer corpus programs, and real
    Polybench kernels under all four engines), trace-driven
-   demotion of trappable superblocks, and the page-access-cache
-   invalidation edge across a superblock boundary. *)
+   demotion of trappable superblocks, the page-access-cache
+   invalidation edge across a superblock boundary, and zero allocation
+   in the shape-specialised op bodies. *)
 
 module X = Sfi_x86.Ast
 module Machine = Sfi_machine.Machine
@@ -353,6 +354,50 @@ let test_kernels_all_engines () =
         [ ("threaded", Machine.Threaded); ("tier2", Machine.Tier2); ("adaptive", Machine.Adaptive) ])
     [ Sfi_workloads.Polybench.gemm; Sfi_workloads.Polybench.atax ]
 
+(* ------------------------------------------------------------------ *)
+(* Shape-specialised op bodies allocate nothing.                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A warmed Tier2 loop of reg/reg and reg/imm mov/alu/cmp/lea under jcc
+   control retires without touching the minor heap: no boxed int64
+   crosses a body. It allocates again if a hot shape falls back to the
+   generic closures or if the build stops inlining across modules
+   (-opaque), since then every register read returns a boxed int64. *)
+let test_specialised_bodies_allocate_nothing () =
+  let m =
+    make_machine
+      [
+        X.Mov (X.W64, X.Reg X.RCX, X.Imm 2000L);
+        X.Mov (X.W32, X.Reg X.RAX, X.Imm 7L);
+        X.Label "loop";
+        X.Mov (X.W64, X.Reg X.RDX, X.Reg X.RAX);
+        X.Mov (X.W32, X.Reg X.RSI, X.Reg X.RCX);
+        X.Alu (X.Add, X.W64, X.Reg X.RAX, X.Reg X.RCX);
+        X.Alu (X.Xor, X.W32, X.Reg X.RDX, X.Imm 0x55L);
+        X.Alu (X.And, X.W64, X.Reg X.RSI, X.Reg X.RDX);
+        X.Lea (X.W64, X.RDI, X.mem ~base:X.RAX ~index:(X.RCX, X.S4) ~disp:8 ());
+        X.Lea (X.W32, X.R8, X.mem ~base:X.RDI ~disp:(-3) ());
+        X.Cmp (X.W32, X.Reg X.RSI, X.Reg X.RDX);
+        X.Alu (X.Sub, X.W64, X.Reg X.RCX, X.Imm 1L);
+        X.Cmp (X.W64, X.Reg X.RCX, X.Imm 0L);
+        X.Jcc (X.NE, "loop");
+      ]
+      ()
+  in
+  Machine.set_engine m Machine.Tier2;
+  (match Machine.execute m ~entry:"entry" () with
+  | Machine.Halted -> ()
+  | _ -> Alcotest.fail "warm-up run should halt");
+  Machine.start m ~entry:"entry";
+  let retired = Machine.superblock_retired m in
+  let before = Gc.minor_words () in
+  let st = Machine.run m ~fuel:(1 lsl 30) in
+  let words = Gc.minor_words () -. before in
+  if st <> Machine.Halted then Alcotest.fail "measured run should halt";
+  Alcotest.(check bool) "the loop ran as a superblock" true
+    (Machine.superblock_retired m - retired > 20_000);
+  Alcotest.(check (float 0.)) "minor words across Machine.run" 0. words
+
 let case name f = Alcotest.test_case name `Quick f
 
 let tests =
@@ -368,4 +413,5 @@ let tests =
     case "fuzz corpus through the tiered engine arm" test_fuzz_corpus_tiered;
     case "page cache: invalidation across a superblock" test_pcache_superblock_boundary;
     case "polybench kernels: four engines, identical counters" test_kernels_all_engines;
+    case "specialised op bodies: zero allocation" test_specialised_bodies_allocate_nothing;
   ]
